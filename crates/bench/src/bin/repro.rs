@@ -3,19 +3,22 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--scale quick|default|paper] [--threads N]
-//!       [--engine seq|windowed|optimistic] [--out DIR]
+//!       [--engine seq|windowed] [--out DIR]
 //!
 //! EXPERIMENT: config fig6 fig7 fig8 table3 table4 fig9 table5 all
-//!             (default: all)
+//!             detail ablation
+//!             (default: all = the eight paper experiments)
 //! ```
 //!
 //! `--engine` picks the simulation engine explicitly: `seq` (the
-//! default single-shard engine), `windowed` (conservative bounded-lag
-//! shards), or `optimistic` (speculative windows with adaptive
-//! sizing). `--threads N` sets the worker count for the parallel
-//! engines; on its own it implies `--engine windowed` (the historical
-//! behaviour). Engine choice perturbs results only by deterministic
+//! default single-shard engine) or `windowed` (conservative bounded-lag
+//! shards). `--threads N` sets the worker count for the windowed
+//! engine; on its own it implies `--engine windowed` (`N = 0` means
+//! sequential). Engine choice perturbs results only by deterministic
 //! same-cycle tie-breaking — see `docs/ARCHITECTURE.md`.
+//!
+//! Every argument is checked before any experiment runs: a bad name or
+//! option exits with status 2 and no output.
 //!
 //! Output goes to stdout and, with `--out`, one text file per
 //! experiment in DIR.
@@ -28,90 +31,126 @@ use specdsm_protocol::{EngineConfig, SpecPolicy};
 use specdsm_types::MachineConfig;
 use specdsm_workloads::AppId;
 
-fn main() {
+/// The paper's evaluation, in output order: what `all` (or no
+/// experiment at all) runs.
+const PAPER_EXPERIMENTS: [&str; 8] = [
+    "config", "fig6", "fig7", "fig8", "table3", "table4", "fig9", "table5",
+];
+
+/// Diagnostic experiments outside the paper set, run only by name.
+const EXTRA_EXPERIMENTS: [&str; 2] = ["detail", "ablation"];
+
+const USAGE: &str =
+    "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all|detail|ablation ...] \
+                     [--scale quick|default|paper] [--threads N] \
+                     [--engine seq|windowed] [--out DIR]";
+
+/// A fully validated command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// Experiments to run, in order, with `all` already expanded.
+    experiments: Vec<String>,
+    scale: Scale,
+    engine: EngineConfig,
+    out_dir: Option<PathBuf>,
+    /// `--help` was given: print usage and run nothing.
+    help: bool,
+}
+
+/// Parses and checks the whole command line up front, so a bad
+/// argument is reported before any experiment starts.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut experiments: Vec<String> = Vec::new();
     let mut scale = Scale::Default;
     let mut out_dir: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
     let mut engine: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = args.next().unwrap_or_default();
+                let v = argv.next().unwrap_or_default();
                 scale = match v.as_str() {
                     "quick" => Scale::Quick,
                     "default" => Scale::Default,
                     "paper" => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale '{other}' (quick|default|paper)");
-                        std::process::exit(2);
-                    }
+                    other => return Err(format!("unknown scale '{other}' (quick|default|paper)")),
                 };
             }
             "--threads" => {
-                let v = args.next().unwrap_or_default();
-                threads = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    std::process::exit(2);
-                }));
+                let v = argv.next().unwrap_or_default();
+                threads = Some(
+                    v.parse()
+                        .map_err(|_| "--threads needs a number".to_string())?,
+                );
             }
-            "--engine" => {
-                engine = Some(args.next().unwrap_or_default());
-            }
+            "--engine" => engine = Some(argv.next().unwrap_or_default()),
             "--out" => {
-                out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                })));
+                let dir = argv.next().ok_or("--out needs a directory")?;
+                out_dir = Some(PathBuf::from(dir));
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
-                     [--scale quick|default|paper] [--threads N] \
-                     [--engine seq|windowed|optimistic] [--out DIR]"
-                );
-                return;
+                return Ok(Args {
+                    experiments: Vec::new(),
+                    scale,
+                    engine: EngineConfig::Sequential,
+                    out_dir,
+                    help: true,
+                });
             }
-            other => experiments.push(other.to_string()),
+            other => {
+                let known = other == "all"
+                    || PAPER_EXPERIMENTS.contains(&other)
+                    || EXTRA_EXPERIMENTS.contains(&other);
+                if !known {
+                    return Err(format!("unknown experiment '{other}'"));
+                }
+                experiments.push(other.to_string());
+            }
         }
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "config", "fig6", "fig7", "fig8", "table3", "table4", "fig9", "table5",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
+        experiments = PAPER_EXPERIMENTS.iter().map(ToString::to_string).collect();
     }
+    let engine = match engine.as_deref() {
+        // `--threads N` alone selects the windowed engine (N = 0 for
+        // sequential).
+        None => match threads {
+            None | Some(0) => EngineConfig::Sequential,
+            Some(threads) => EngineConfig::Windowed { threads },
+        },
+        Some("seq") => EngineConfig::Sequential,
+        Some("windowed") => EngineConfig::Windowed {
+            threads: threads.unwrap_or(1).max(1),
+        },
+        Some(other) => return Err(format!("unknown engine '{other}' (seq|windowed)")),
+    };
+    Ok(Args {
+        experiments,
+        scale,
+        engine,
+        out_dir,
+        help: false,
+    })
+}
 
-    if let Some(dir) = &out_dir {
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    if args.help {
+        println!("{USAGE}");
+        return;
+    }
+    if let Some(dir) = &args.out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
 
-    let mut lab = Lab::new(scale);
-    match engine.as_deref() {
-        // Historical behaviour: `--threads N` alone selects the
-        // windowed engine (N = 0 for sequential).
-        None => {
-            if let Some(threads) = threads {
-                lab.set_threads(threads);
-            }
-        }
-        Some("seq") => lab.set_engine(EngineConfig::Sequential),
-        Some("windowed") => lab.set_engine(EngineConfig::Windowed {
-            threads: threads.unwrap_or(1).max(1),
-        }),
-        Some("optimistic") => lab.set_engine(EngineConfig::Optimistic {
-            threads: threads.unwrap_or(1).max(1),
-        }),
-        Some(other) => {
-            eprintln!("unknown engine '{other}' (seq|windowed|optimistic)");
-            std::process::exit(2);
-        }
-    }
-    for exp in &experiments {
+    let mut lab = Lab::new(args.scale);
+    lab.set_engine(args.engine);
+    for exp in &args.experiments {
         let text = match exp.as_str() {
             "config" => render_config(),
             "fig6" => render_fig6(),
@@ -122,14 +161,11 @@ fn main() {
             "fig9" => render_fig9(&mut lab),
             "table5" => render_table5(&mut lab),
             "detail" => render_detail(&mut lab),
-            "ablation" => render_ablation(scale),
-            other => {
-                eprintln!("unknown experiment '{other}'");
-                std::process::exit(2);
-            }
+            "ablation" => render_ablation(args.scale),
+            other => unreachable!("parse_args admitted unknown experiment '{other}'"),
         };
         println!("{text}");
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &args.out_dir {
             std::fs::write(dir.join(format!("{exp}.txt")), &text).expect("write experiment output");
         }
     }
@@ -514,4 +550,75 @@ fn render_table5(lab: &mut Lab) -> String {
     }
     let _ = write!(s, "{t2}");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn no_experiment_means_the_paper_set() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.experiments, PAPER_EXPERIMENTS);
+        assert_eq!(args.scale, Scale::Default);
+        assert_eq!(args.engine, EngineConfig::Sequential);
+        assert_eq!(
+            parse(&["fig7", "all"]).unwrap().experiments,
+            PAPER_EXPERIMENTS
+        );
+    }
+
+    #[test]
+    fn every_name_is_checked_before_anything_runs() {
+        let err = parse(&["fig9", "bogus"]).unwrap_err();
+        assert_eq!(err, "unknown experiment 'bogus'");
+        assert!(parse(&["--flag"]).is_err());
+        let args = parse(&["detail", "ablation", "fig7"]).unwrap();
+        assert_eq!(args.experiments, ["detail", "ablation", "fig7"]);
+    }
+
+    #[test]
+    fn usage_lists_every_experiment() {
+        for name in PAPER_EXPERIMENTS.iter().chain(&EXTRA_EXPERIMENTS) {
+            assert!(USAGE.contains(name), "usage omits {name}");
+        }
+        assert!(parse(&["--help", "bogus"]).unwrap().help);
+    }
+
+    #[test]
+    fn threads_alone_select_the_windowed_engine() {
+        let engine = |args: &[&str]| parse(args).unwrap().engine;
+        assert_eq!(engine(&["--threads", "0"]), EngineConfig::Sequential);
+        assert_eq!(
+            engine(&["--threads", "3"]),
+            EngineConfig::Windowed { threads: 3 }
+        );
+        assert_eq!(
+            engine(&["--engine", "windowed"]),
+            EngineConfig::Windowed { threads: 1 }
+        );
+        assert_eq!(
+            engine(&["--engine", "windowed", "--threads", "0"]),
+            EngineConfig::Windowed { threads: 1 }
+        );
+        assert_eq!(
+            engine(&["--threads", "4", "--engine", "seq"]),
+            EngineConfig::Sequential
+        );
+    }
+
+    #[test]
+    fn bad_options_are_rejected() {
+        assert!(parse(&["--engine", "turbo"]).is_err());
+        assert!(parse(&["--scale", "huge"]).is_err());
+        assert!(parse(&["--threads", "many"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+        let args = parse(&["table3", "--scale", "quick", "--out", "dir"]).unwrap();
+        assert_eq!(args.scale, Scale::Quick);
+        assert_eq!(args.out_dir, Some(PathBuf::from("dir")));
+    }
 }

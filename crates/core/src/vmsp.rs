@@ -88,8 +88,8 @@ pub struct Vmsp {
     homes: Vec<HomeArena>,
     /// Hash-cons arena for the spilled (>64-processor) read vectors
     /// this predictor retains in its pattern tables. Owned per
-    /// predictor instance, so clones (engine snapshots, differential
-    /// references) stay self-contained and `Send`.
+    /// predictor instance, so clones (differential references) stay
+    /// self-contained and `Send`.
     sets: ReaderSetInterner,
     stats: PredictorStats,
 }

@@ -25,8 +25,8 @@ use specdsm_types::{BlockAddr, HomeGeometry, MachineConfig, NodeId, ProcId, ReqK
 /// processors encode the set inline in the id itself, wider sets point
 /// into the owning shard's
 /// [`ReaderSetInterner`](specdsm_types::ReaderSetInterner) arena. That
-/// keeps this enum `Copy` — directory records move through snapshots,
-/// audits, and coherence checks without cloning heap words.
+/// keeps this enum `Copy` — directory records move through audits
+/// and coherence checks without cloning heap words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirState {
     /// No remote copies.

@@ -126,11 +126,9 @@ impl SpecStats {
 /// latter. [`SpecStore::resolve`] is the only place a backend may
 /// grow state for an unseen block.
 ///
-/// Stores are `Send + Sync` (they are plain owned data) so the sharded
-/// engine can move each home's store onto a worker thread and the
-/// optimistic engine can share window snapshots across pass workers,
-/// and `Clone` so those snapshots can be taken at window boundaries.
-pub trait SpecStore: Send + Sync + Clone {
+/// Stores are `Send` (they are plain owned data) so the windowed
+/// engine can move each home's store onto a worker thread.
+pub trait SpecStore: Send {
     /// Builds the store for a machine (history `depth`, one processor
     /// per node, the machine's home geometry).
     fn build(depth: usize, machine: &MachineConfig) -> Self;

@@ -318,82 +318,6 @@ impl<E> KeyedQueue<E> {
     }
 }
 
-/// A point-in-time copy of a [`KeyedQueue`], reusable for repeated
-/// [`KeyedQueue::restore`] calls.
-///
-/// Only the occupied wheel buckets are stored (plus the overflow heap
-/// and counters), so taking and applying a snapshot costs O(pending
-/// events), not O(wheel slots). The optimistic shard engine snapshots
-/// every shard's queue at each window boundary and rolls invalidated
-/// shards back to it — possibly several times per window — which is
-/// why this is not simply `Clone` of the whole 2048-slot wheel.
-///
-/// The all-time [`KeyedQueue::scheduled_total`] counter is part of the
-/// snapshot: restoring rewinds it, so speculative scheduling that got
-/// rolled back never shows up in the `sim_events` statistic.
-#[derive(Debug, Clone)]
-pub struct KeyedQueueSnapshot<E> {
-    /// `(slot index, bucket contents)` for each non-empty bucket.
-    buckets: Vec<(usize, VecDeque<(Packed, E)>)>,
-    occupied: [u64; WHEEL_WORDS],
-    summary: u32,
-    cursor: u64,
-    wheel_len: usize,
-    overflow: Vec<Entry<E>>,
-    scheduled: u64,
-}
-
-impl<E: Clone> KeyedQueue<E> {
-    /// Captures the queue's complete state (pending events, cursor,
-    /// and the schedule counter) for a later [`Self::restore`].
-    #[must_use]
-    pub fn snapshot(&self) -> KeyedQueueSnapshot<E> {
-        let mut buckets = Vec::new();
-        for (w, &word) in self.occupied.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                buckets.push((idx, self.wheel[idx].clone()));
-            }
-        }
-        KeyedQueueSnapshot {
-            buckets,
-            occupied: self.occupied,
-            summary: self.summary,
-            cursor: self.cursor,
-            wheel_len: self.wheel_len,
-            overflow: self.overflow.iter().map(|Reverse(e)| e.clone()).collect(),
-            scheduled: self.scheduled,
-        }
-    }
-
-    /// Rewinds the queue to the state captured by `snap`. The snapshot
-    /// is borrowed, not consumed: one snapshot can restore the same
-    /// queue any number of times (re-execution passes).
-    pub fn restore(&mut self, snap: &KeyedQueueSnapshot<E>) {
-        // Clear whatever is live now (only occupied buckets).
-        for (w, word) in self.occupied.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let idx = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.wheel[idx].clear();
-            }
-            *word = 0;
-        }
-        for &(idx, ref bucket) in &snap.buckets {
-            self.wheel[idx] = bucket.clone();
-        }
-        self.occupied = snap.occupied;
-        self.summary = snap.summary;
-        self.cursor = snap.cursor;
-        self.wheel_len = snap.wheel_len;
-        self.overflow = snap.overflow.iter().map(|e| Reverse(e.clone())).collect();
-        self.scheduled = snap.scheduled;
-    }
-}
-
 impl<E> Default for KeyedQueue<E> {
     fn default() -> Self {
         Self::new()
@@ -495,43 +419,6 @@ mod tests {
             }
         }
         assert_eq!(expected, 100);
-    }
-
-    #[test]
-    fn snapshot_restore_rewinds_events_and_counters() {
-        let mut q = KeyedQueue::new();
-        q.schedule(Cycle(10), key(0, 0, 0), "a");
-        q.schedule(Cycle(WHEEL_SLOTS as u64 * 3), key(0, 0, 1), "far");
-        assert_eq!(q.pop(), Some((Cycle(10), "a")));
-        let snap = q.snapshot();
-        // Mutate: consume the overflow resident, add speculative events.
-        q.schedule(Cycle(20), key(20, 0, 2), "spec");
-        q.schedule(Cycle(21), key(20, 0, 3), "spec2");
-        assert_eq!(q.pop(), Some((Cycle(20), "spec")));
-        assert_eq!(q.scheduled_total(), 4);
-        // First restore: back to exactly one pending event, counter 2.
-        q.restore(&snap);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
-        // The same snapshot restores again after further divergence.
-        q.schedule(Cycle(30), key(30, 0, 4), "again");
-        q.restore(&snap);
-        assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.pop(), Some((Cycle(WHEEL_SLOTS as u64 * 3), "far")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn restored_queue_preserves_key_order() {
-        let mut q = KeyedQueue::new();
-        q.schedule(Cycle(7), key(5, 1, 0), "c");
-        q.schedule(Cycle(7), key(2, 3, 0), "a");
-        let snap = q.snapshot();
-        while q.pop().is_some() {}
-        q.restore(&snap);
-        q.schedule(Cycle(7), key(5, 0, 9), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]

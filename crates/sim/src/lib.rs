@@ -11,11 +11,7 @@
 //!   events, so runs are reproducible bit-for-bit,
 //! * a [`KeyedQueue`] — the same calendar structure with an *explicit*
 //!   per-event [`SchedKey`] tie-break, the deterministic backbone of
-//!   the sharded (optionally parallel) protocol engine, with
-//!   [`KeyedQueueSnapshot`] checkpoint/rollback for optimistic windows,
-//! * a [`MvView`] — a multi-version message mailbox (the Block-STM
-//!   `MvMemory` idea transplanted to message passing) that the
-//!   optimistic engine validates speculative read sets against,
+//!   the sharded (optionally parallel) protocol engine,
 //! * [`FifoResource`] for occupancy-based contention modeling (memory
 //!   banks, network interfaces),
 //! * a tiny, stable [`Xorshift64Star`] PRNG used to generate the timing
@@ -44,15 +40,13 @@
 
 mod clock;
 mod keyed;
-mod mv;
 mod queue;
 mod resource;
 mod rng;
 mod stats;
 
 pub use clock::Cycle;
-pub use keyed::{KeyedQueue, KeyedQueueSnapshot, SchedKey};
-pub use mv::{MvView, SpecEntry};
+pub use keyed::{KeyedQueue, SchedKey};
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use rng::Xorshift64Star;
