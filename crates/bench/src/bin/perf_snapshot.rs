@@ -5,9 +5,12 @@
 //!
 //! * **Predictors** (`BENCH_predictors.json`): predictor-throughput
 //!   micro-measurements (the same stream shape as
-//!   `benches/predictors.rs`), the speculation-feedback path, and the
+//!   `benches/predictors.rs`), the speculation-feedback path, the
 //!   VMSP storage footprint at 16 and 256 processors (spill bytes and
-//!   hash-cons dedup ratio for wide reader vectors).
+//!   hash-cons dedup ratio for wide reader vectors), and the `replay`
+//!   rows: the seven Default-scale Base-DSM suite traces replayed
+//!   through every predictor at depths 1, 2 and 4 with
+//!   `evaluate_trace`, the work behind Figures 7–8 and Tables 3–4.
 //! * **Protocol** (`BENCH_protocol.json`): end-to-end whole-machine
 //!   simulations of the paper's application suite (default scale, 16
 //!   nodes) under all three system policies — wall time, simulation
@@ -32,8 +35,10 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use specdsm_bench::producer_consumer_stream;
-use specdsm_core::{History, PatternTable, PredictorKind, SharingPredictor, Symbol, Vmsp};
+use specdsm_bench::{producer_consumer_stream, Lab};
+use specdsm_core::{
+    evaluate_trace, History, PatternTable, PredictorKind, SharingPredictor, Symbol, Vmsp,
+};
 use specdsm_protocol::{EngineConfig, FaultStats, SpecPolicy, System, SystemConfig};
 use specdsm_types::{
     BlockAddr, DirMsg, MachineConfig, ProcId, ReaderSet, ReaderSetInterner, ReqKind,
@@ -205,6 +210,69 @@ fn storage_rows() -> Vec<StorageRow> {
             }
         })
         .collect()
+}
+
+/// Timed repetitions per replay row; each row reports the min, median
+/// and max over them.
+const REPLAY_RUNS: usize = 5;
+
+/// `(min, median, max)` of a sample.
+fn spread(mut samples: Vec<f64>) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    (
+        samples[0],
+        samples[samples.len() / 2],
+        samples[samples.len() - 1],
+    )
+}
+
+struct ReplayRow {
+    app: String,
+    predictor: String,
+    depth: usize,
+    msgs: u64,
+    /// `(min, median, max)` ns per trace message over [`REPLAY_RUNS`].
+    ns_per_msg: (f64, f64, f64),
+}
+
+/// Trace replay throughput: each Default-scale Base-DSM suite trace
+/// through every predictor at depths 1, 2 and 4, timed as whole
+/// `evaluate_trace` calls. Unlike the `observe` rows, whose synthetic
+/// stream never grows a pattern table past a few entries, these
+/// streams carry the suite's real per-block table sizes, so table
+/// growth and teardown are part of the measured cost. `ns_per_msg`
+/// divides by every trace message, acknowledgements included, for all
+/// three predictors.
+fn replay_rows() -> Vec<ReplayRow> {
+    let mut lab = Lab::new(Scale::Default);
+    let mut rows = Vec::new();
+    for app in AppId::ALL {
+        let trace = lab.trace(app);
+        let msgs = trace.total_messages();
+        for kind in PredictorKind::ALL {
+            for depth in [1usize, 2, 4] {
+                // One untimed call warms the allocator and caches.
+                let _ = evaluate_trace(trace, kind, depth, 16);
+                let samples = (0..REPLAY_RUNS)
+                    .map(|_| {
+                        let start = Instant::now();
+                        let eval = std::hint::black_box(evaluate_trace(trace, kind, depth, 16));
+                        let ns = start.elapsed().as_nanos() as f64;
+                        assert!(eval.stats.seen > 0, "{app}: empty replay");
+                        ns / msgs as f64
+                    })
+                    .collect();
+                rows.push(ReplayRow {
+                    app: app.to_string(),
+                    predictor: kind.to_string(),
+                    depth,
+                    msgs,
+                    ns_per_msg: spread(samples),
+                });
+            }
+        }
+    }
+    rows
 }
 
 struct ProtoRow {
@@ -597,7 +665,12 @@ fn render_protocol_json(
     out
 }
 
-fn render_json(observe: &[ObserveRow], feedback: &[FeedbackRow], storage: &[StorageRow]) -> String {
+fn render_json(
+    observe: &[ObserveRow],
+    feedback: &[FeedbackRow],
+    storage: &[StorageRow],
+    replay: &[ReplayRow],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"predictor_perf_snapshot\",\n");
@@ -643,6 +716,29 @@ fn render_json(observe: &[ObserveRow], feedback: &[FeedbackRow], storage: &[Stor
             r.spill_unique,
             r.spill_refs,
             r.dedup_ratio
+        );
+    }
+    out.push_str("  ],\n");
+    // Whole-trace replays (Default scale, 16 procs): best-of-N spread
+    // per row; `msgs_per_sec` is the same sample inverted, so its min
+    // comes from the slowest run.
+    let _ = writeln!(out, "  \"replay_runs\": {REPLAY_RUNS},");
+    out.push_str("  \"replay\": [\n");
+    for (i, r) in replay.iter().enumerate() {
+        let comma = if i + 1 == replay.len() { "" } else { "," };
+        let (lo, mid, hi) = r.ns_per_msg;
+        let _ = writeln!(
+            out,
+            "    {{\"app\": \"{}\", \"predictor\": \"{}\", \"depth\": {}, \"msgs\": {}, \
+             \"ns_per_msg\": {{\"min\": {lo:.2}, \"median\": {mid:.2}, \"max\": {hi:.2}}}, \
+             \"msgs_per_sec\": {{\"min\": {:.0}, \"median\": {:.0}, \"max\": {:.0}}}}}{comma}",
+            r.app,
+            r.predictor,
+            r.depth,
+            r.msgs,
+            1e9 / hi,
+            1e9 / mid,
+            1e9 / lo
         );
     }
     out.push_str("  ]\n");
@@ -703,8 +799,10 @@ fn main() {
     let feedback = feedback_rows(window);
     eprintln!("measuring VMSP storage footprint (16 and 256 procs)...");
     let storage = storage_rows();
+    eprintln!("measuring trace replay (7 suite traces x 3 predictors x 3 depths)...");
+    let replay = replay_rows();
 
-    let json = render_json(&observe, &feedback, &storage);
+    let json = render_json(&observe, &feedback, &storage, &replay);
     print!("{json}");
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

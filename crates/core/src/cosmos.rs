@@ -73,6 +73,11 @@ impl SharingPredictor for Cosmos {
         obs
     }
 
+    fn replay_block(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        let syms = msgs.iter().map(|&msg| Symbol::from_msg(msg));
+        self.inner.replay(block, syms, &mut self.stats);
+    }
+
     fn stats(&self) -> PredictorStats {
         self.stats
     }

@@ -5,6 +5,16 @@
 //! the machine once per predictor configuration, the protocol simulator
 //! records a [`DirectoryTrace`] during a Base-DSM run and this module
 //! replays it through any predictor.
+//!
+//! Replay runs one block at a time: [`evaluate_trace`] hands each
+//! block's whole stream to [`replay_block`], after which the predictor
+//! retires that block's tables and reuses their allocations for the
+//! next block. Replay memory is therefore bounded by the trace plus one
+//! block's history register and pattern table (plus the VMSP's
+//! fixed-size per-slot arena records), not by the tables of every block
+//! in the trace.
+//!
+//! [`replay_block`]: crate::SharingPredictor::replay_block
 
 use std::collections::BTreeMap;
 
@@ -109,8 +119,11 @@ pub struct TraceEval {
 /// Replays `trace` through a fresh predictor of the given kind/depth.
 ///
 /// `num_procs` sizes the storage model. Blocks are replayed in address
-/// order; since predictor state is per-block this is equivalent to the
-/// original interleaving.
+/// order, one whole block at a time through [`replay_block`]; since
+/// predictor state is per-block this is equivalent to observing the
+/// original interleaving message by message.
+///
+/// [`replay_block`]: crate::SharingPredictor::replay_block
 #[must_use]
 pub fn evaluate_trace(
     trace: &DirectoryTrace,
@@ -120,9 +133,7 @@ pub fn evaluate_trace(
 ) -> TraceEval {
     let mut predictor = kind.build(depth, num_procs);
     for (block, msgs) in trace.iter() {
-        for &msg in msgs {
-            predictor.observe(block, msg);
-        }
+        predictor.replay_block(block, msgs);
     }
     TraceEval {
         kind,
@@ -192,6 +203,22 @@ mod tests {
                 assert!(eval.stats.correct <= eval.stats.predicted);
             }
         }
+    }
+
+    #[test]
+    fn ack_only_blocks_allocate_no_request_state() {
+        let mut t = DirectoryTrace::new();
+        t.record(BlockAddr(9), DirMsg::ack_inv(ProcId(1)));
+        for kind in PredictorKind::ALL {
+            let storage = evaluate_trace(&t, kind, 1, 16).storage;
+            let expected = u64::from(kind == PredictorKind::Cosmos);
+            assert_eq!(storage.blocks, expected, "{kind}");
+            assert_eq!(storage.entries, 0, "{kind}");
+        }
+        // The VMSP arena still grows over the block's slot (slot 9 of
+        // home 0 commits slots 0..=9), as a per-message observe would.
+        let vmsp = evaluate_trace(&t, PredictorKind::Vmsp, 1, 16).storage;
+        assert_eq!(vmsp.slots, 10);
     }
 
     #[test]

@@ -75,6 +75,14 @@ impl SharingPredictor for Msp {
         obs
     }
 
+    fn replay_block(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        let syms = msgs
+            .iter()
+            .filter_map(|msg| msg.request())
+            .map(|(kind, p)| Symbol::Req(kind, p));
+        self.inner.replay(block, syms, &mut self.stats);
+    }
+
     fn stats(&self) -> PredictorStats {
         self.stats
     }

@@ -25,6 +25,20 @@ pub trait SharingPredictor {
     /// predictor had predicted for it.
     fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation;
 
+    /// Observes `block`'s whole remaining message stream, in order, as
+    /// [`SharingPredictor::observe`] would one message at a time; state
+    /// an earlier `observe` left for the block is continued. After this
+    /// call the block is never observed again, so an implementation may
+    /// retire the block's tables, keeping only what
+    /// [`SharingPredictor::stats`] and [`SharingPredictor::storage`]
+    /// report. Trace replay ([`evaluate_trace`](crate::evaluate_trace))
+    /// calls it once per block.
+    fn replay_block(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        for &msg in msgs {
+            self.observe(block, msg);
+        }
+    }
+
     /// Aggregate accuracy statistics so far.
     fn stats(&self) -> PredictorStats;
 

@@ -242,6 +242,12 @@ impl PatternTable {
         true
     }
 
+    /// Removes every entry, keeping the allocated capacity so the
+    /// table can be reused for another block without regrowing.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -317,6 +323,14 @@ impl History {
             key: HistoryKey::EMPTY,
             base_pow_depth: HistoryKey::base_pow(depth),
         }
+    }
+
+    /// Empties the register (back to warm-up), keeping the ring's
+    /// allocation so the register can be reused for another block.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.key = HistoryKey::EMPTY;
     }
 
     /// Whether the register holds `depth` symbols.
@@ -433,6 +447,30 @@ mod tests {
     #[should_panic(expected = "history depth")]
     fn zero_depth_panics() {
         let _ = History::new(0);
+    }
+
+    #[test]
+    fn cleared_register_behaves_like_a_fresh_one() {
+        let stream = [
+            req(ReqKind::Upgrade, 3),
+            req(ReqKind::Read, 1),
+            req(ReqKind::Read, 2),
+            req(ReqKind::Write, 5),
+        ];
+        let mut reused = History::new(3);
+        for s in &stream {
+            reused.push(*s);
+        }
+        reused.clear();
+        assert!(!reused.is_full());
+        assert_eq!(reused.key(), HistoryKey::EMPTY);
+        let mut fresh = History::new(3);
+        for s in stream.iter().rev() {
+            reused.push(*s);
+            fresh.push(*s);
+            assert_eq!(reused.key(), fresh.key());
+            assert!(reused.window().eq(fresh.window()));
+        }
     }
 
     #[test]

@@ -13,11 +13,23 @@
 //! path. The block index itself uses the same FxHash-style hasher as
 //! the pattern tables ([`FxHashMap`]) so the first-level lookup does
 //! not become the bottleneck the second level just stopped being.
+//!
+//! # Whole-block replay
+//!
+//! Trace replay ([`evaluate_trace`](crate::evaluate_trace)) hands each
+//! block's whole stream over at once ([`TwoLevel::replay`]). The block
+//! then runs on one [`BlockState`] taken out of the map (or, for a
+//! block the map never held, the recycled spare) with no map probe per
+//! symbol, and is retired afterwards: its entry count joins a running
+//! total and its cleared register and table become the spare for the
+//! next block. Replay memory is therefore one block's tables, not the
+//! whole trace's, and the tables stop being grown from empty and torn
+//! down once per block.
 
 use specdsm_types::BlockAddr;
 
 use crate::fxhash::FxHashMap;
-use crate::stats::Observation;
+use crate::stats::{Observation, PredictorStats};
 use crate::symbol::Symbol;
 use crate::table::{History, PatternTable};
 
@@ -27,6 +39,13 @@ use crate::table::{History, PatternTable};
 pub(crate) struct TwoLevel {
     depth: usize,
     blocks: FxHashMap<BlockAddr, BlockState>,
+    /// Cleared state of the last retired block, taken up by the next
+    /// replayed block the map does not hold.
+    spare: BlockState,
+    /// Blocks retired by [`TwoLevel::replay`].
+    retired_blocks: u64,
+    /// Pattern entries those blocks held when they were retired.
+    retired_entries: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -35,32 +54,21 @@ struct BlockState {
     table: PatternTable,
 }
 
-impl TwoLevel {
-    pub(crate) fn new(depth: usize) -> Self {
-        assert!(depth > 0, "history depth must be at least 1");
-        TwoLevel {
-            depth,
-            blocks: FxHashMap::default(),
+impl BlockState {
+    fn new(depth: usize) -> Self {
+        BlockState {
+            history: History::new(depth),
+            table: PatternTable::new(),
         }
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Core PAp step: predict the successor of the current history,
     /// compare with `sym`, learn `sym` as the new successor
     /// (last-occurrence update), and shift `sym` into the history.
-    pub(crate) fn observe_symbol(&mut self, block: BlockAddr, sym: Symbol) -> Observation {
-        let depth = self.depth;
-        let state = self.blocks.entry(block).or_insert_with(|| BlockState {
-            history: History::new(depth),
-            table: PatternTable::new(),
-        });
-
-        let obs = if state.history.is_full() {
+    fn step(&mut self, sym: Symbol) -> Observation {
+        let obs = if self.history.is_full() {
             // Fused predict + last-occurrence learn: one table access.
-            match state.table.predict_and_learn(&state.history, &sym) {
+            match self.table.predict_and_learn(&self.history, &sym) {
                 Some(pred) => Observation::Predicted {
                     correct: pred == sym,
                 },
@@ -70,18 +78,78 @@ impl TwoLevel {
             // Warm-up: the history register is not yet primed.
             Observation::NoPrediction
         };
-        state.history.push(sym);
+        self.history.push(sym);
         obs
     }
+}
 
-    /// Total pattern-table entries across all blocks.
-    pub(crate) fn pattern_entries(&self) -> u64 {
-        self.blocks.values().map(|b| b.table.len() as u64).sum()
+impl TwoLevel {
+    pub(crate) fn new(depth: usize) -> Self {
+        assert!(depth > 0, "history depth must be at least 1");
+        TwoLevel {
+            depth,
+            blocks: FxHashMap::default(),
+            spare: BlockState::new(depth),
+            retired_blocks: 0,
+            retired_entries: 0,
+        }
     }
 
-    /// Number of blocks with allocated predictor state.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Observes one symbol for `block` (see [`BlockState::step`]).
+    pub(crate) fn observe_symbol(&mut self, block: BlockAddr, sym: Symbol) -> Observation {
+        let depth = self.depth;
+        self.blocks
+            .entry(block)
+            .or_insert_with(|| BlockState::new(depth))
+            .step(sym)
+    }
+
+    /// Observes `block`'s whole remaining symbol stream, recording each
+    /// observation in `stats`, then retires the block: it must never be
+    /// observed again. A block already in the map continues from its
+    /// state; an empty stream for a block the map does not hold
+    /// allocates nothing, exactly like never calling `observe_symbol`.
+    pub(crate) fn replay(
+        &mut self,
+        block: BlockAddr,
+        syms: impl Iterator<Item = Symbol>,
+        stats: &mut PredictorStats,
+    ) {
+        let mut syms = syms.peekable();
+        let mut state = match self.blocks.remove(&block) {
+            Some(state) => state,
+            None if syms.peek().is_none() => return,
+            None => std::mem::replace(&mut self.spare, BlockState::new(self.depth)),
+        };
+        for sym in syms {
+            stats.record(state.step(sym));
+        }
+        self.retired_blocks += 1;
+        self.retired_entries += state.table.len() as u64;
+        state.history.clear();
+        state.table.clear();
+        self.spare = state;
+    }
+
+    /// Total pattern-table entries across all blocks, retired ones
+    /// included.
+    pub(crate) fn pattern_entries(&self) -> u64 {
+        self.retired_entries
+            + self
+                .blocks
+                .values()
+                .map(|b| b.table.len() as u64)
+                .sum::<u64>()
+    }
+
+    /// Number of blocks with allocated predictor state, retired ones
+    /// included.
     pub(crate) fn blocks_allocated(&self) -> u64 {
-        self.blocks.len() as u64
+        self.retired_blocks + self.blocks.len() as u64
     }
 }
 
@@ -172,6 +240,32 @@ mod tests {
         }
         // Three distinct histories -> three entries (paper Figure 3).
         assert_eq!(t.pattern_entries(), 3);
+    }
+
+    #[test]
+    fn replay_retires_the_block_and_keeps_its_counts() {
+        let seq = [upgrade(3), read(1), read(2)];
+        let stream: Vec<Symbol> = seq.iter().cycle().take(9).copied().collect();
+        let mut stepped = TwoLevel::new(1);
+        let mut stepped_stats = PredictorStats::default();
+        let mut replayed = TwoLevel::new(1);
+        let mut replayed_stats = PredictorStats::default();
+        for b in [BlockAddr(1), BlockAddr(2)] {
+            for s in &stream {
+                stepped_stats.record(stepped.observe_symbol(b, *s));
+            }
+            replayed.replay(b, stream.iter().copied(), &mut replayed_stats);
+            // Retired: no map entry is left, and the spare is cleared.
+            assert!(replayed.blocks.is_empty());
+            assert!(replayed.spare.table.is_empty());
+            assert!(!replayed.spare.history.is_full());
+        }
+        assert_eq!(replayed_stats, stepped_stats);
+        assert_eq!(replayed.blocks_allocated(), 2);
+        assert_eq!(replayed.pattern_entries(), stepped.pattern_entries());
+        // An empty stream for an unseen block allocates nothing.
+        replayed.replay(BlockAddr(3), std::iter::empty(), &mut replayed_stats);
+        assert_eq!(replayed.blocks_allocated(), 2);
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //! indexed by processor id (at most one open ticket per `(block,
 //! proc)`, and the paper's machines have 16–64 nodes), replacing the
 //! speculation engine's former `(block, proc)`-keyed ticket map.
+//!
+//! # Trace replay
+//!
+//! Offline replay hands over each block's whole stream at once
+//! ([`SharingPredictor::replay_block`]): the block's slot is resolved
+//! once, the stream runs through the same [`Vmsp::observe_at`] the
+//! protocol uses, and the block is then retired. Its entry count and
+//! open-vector spill bytes join running totals that
+//! [`SharingPredictor::storage`] adds back, and its cleared history
+//! register and pattern table become the spare the next replayed block
+//! takes up. The slot itself stays active (it still counts toward
+//! `blocks` and `slots`) but holds no tables, so replay memory is the
+//! arena records plus one block's tables.
 
 use specdsm_types::{
     BlockAddr, DirMsg, HomeGeometry, NodeId, ProcId, ReaderSet, ReaderSetInterner, ReqKind,
@@ -92,6 +105,15 @@ pub struct Vmsp {
     /// self-contained and `Send`.
     sets: ReaderSetInterner,
     stats: PredictorStats,
+    /// Cleared history register and pattern table of the last block
+    /// retired by `replay_block`, taken up by the next one.
+    spare_history: History,
+    spare_table: PatternTable,
+    /// Pattern entries retired blocks held when they were retired.
+    retired_entries: u64,
+    /// Open-vector spill bytes retired blocks held when they were
+    /// retired.
+    retired_open_spill: u64,
 }
 
 /// One home's dense block-state table.
@@ -249,6 +271,10 @@ impl Vmsp {
             homes: vec![HomeArena::default(); geom.num_nodes()],
             sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
+            spare_history: History::new(depth),
+            spare_table: PatternTable::new(),
+            retired_entries: 0,
+            retired_open_spill: 0,
         }
     }
 
@@ -599,6 +625,32 @@ impl SharingPredictor for Vmsp {
         self.observe_at(slot, msg)
     }
 
+    fn replay_block(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        if msgs.is_empty() {
+            return;
+        }
+        // Resolving the slot grows the arena even for an ack-only
+        // stream, exactly as a per-message `observe` loop would.
+        let slot = self.slot_of(block);
+        let b = &mut self.homes[slot.home as usize].table[slot.idx as usize];
+        if !b.active {
+            // A pristine record holds no state: run the block on the
+            // spare's allocations instead of growing fresh ones.
+            std::mem::swap(&mut b.history, &mut self.spare_history);
+            std::mem::swap(&mut b.table, &mut self.spare_table);
+        }
+        for &msg in msgs {
+            self.observe_at(slot, msg);
+        }
+        let b = &mut self.homes[slot.home as usize].table[slot.idx as usize];
+        self.retired_entries += b.table.len() as u64;
+        self.retired_open_spill += std::mem::take(&mut b.open).heap_bytes() as u64;
+        self.spare_history = std::mem::replace(&mut b.history, History::new(self.depth));
+        self.spare_table = std::mem::take(&mut b.table);
+        self.spare_history.clear();
+        self.spare_table.clear();
+    }
+
     fn stats(&self) -> PredictorStats {
         self.stats
     }
@@ -606,11 +658,11 @@ impl SharingPredictor for Vmsp {
     fn storage(&self) -> StorageReport {
         let mut slots = 0u64;
         let mut blocks = 0u64;
-        let mut entries = 0u64;
+        let mut entries = self.retired_entries;
         // Open (still-accumulating) vectors are the one place a wide
         // set still lives outside the arena; their heap words are
         // charged per copy.
-        let mut open_spill = 0u64;
+        let mut open_spill = self.retired_open_spill;
         for home in &self.homes {
             slots += home.table.len() as u64;
             blocks += home.active as u64;
@@ -962,6 +1014,32 @@ mod tests {
         assert_eq!(rep.spill_unique, 1);
         assert!(rep.spill_refs > rep.spill_unique);
         assert!(rep.dedup_ratio() > 1.0);
+    }
+
+    #[test]
+    fn replay_block_releases_tables_but_keeps_storage() {
+        let b = BlockAddr(5);
+        let mut msgs = Vec::new();
+        for _ in 0..4 {
+            msgs.push(DirMsg::upgrade(ProcId(3)));
+            msgs.extend([1, 70, 130].map(|r| DirMsg::read(ProcId(r))));
+        }
+        let mut observed = Vmsp::new(1, 256);
+        for &m in &msgs {
+            observed.observe(b, m);
+        }
+        let mut replayed = Vmsp::new(1, 256);
+        replayed.replay_block(b, &msgs);
+        assert_eq!(replayed.stats(), observed.stats());
+        // The read phase left open at the end spills; its bytes are
+        // still reported after the open vector itself was released.
+        assert!(observed.storage().spill_bytes > replayed.sets.spill_bytes());
+        assert_eq!(replayed.storage(), observed.storage());
+        let slot = replayed.slot_of(b);
+        let rec = replayed.at(slot);
+        assert!(rec.active && rec.table.is_empty() && rec.open.is_empty());
+        assert!(!rec.history.is_full());
+        assert!(replayed.spare_table.is_empty() && !replayed.spare_history.is_full());
     }
 
     #[test]

@@ -2,7 +2,11 @@
 
 use proptest::prelude::*;
 
-use specdsm::core::{evaluate_trace, DirectoryTrace, Observation, PredictorKind, SpecTicket, Vmsp};
+use std::collections::BTreeMap;
+
+use specdsm::core::{
+    evaluate_trace, DirectoryTrace, Observation, PredictorKind, SpecTicket, TraceEval, Vmsp,
+};
 use specdsm::prelude::*;
 use specdsm::protocol::{MapSpecStore, SpecStore, SpecTrigger, System, SystemConfig};
 use specdsm::sim::{Cycle, EventQueue, FifoResource};
@@ -397,10 +401,104 @@ proptest! {
         for kind in PredictorKind::ALL {
             let a = evaluate_trace(&trace, kind, 2, 8);
             let b = evaluate_trace(&trace, kind, 2, 8);
-            prop_assert_eq!(a.stats, b.stats);
-            prop_assert_eq!(a.storage.entries, b.storage.entries);
+            prop_assert_eq!(a, b);
         }
     }
+
+    #[test]
+    fn trace_replay_matches_per_message_observe(
+        raw in proptest::collection::vec((0u64..6, 0usize..5, 0usize..256), 0..300),
+    ) {
+        for num_procs in [8usize, 128] {
+            let stream = replay_stream(&raw, num_procs);
+            let mut trace = DirectoryTrace::new();
+            for &(b, m) in &stream {
+                trace.record(b, m);
+            }
+            for kind in PredictorKind::ALL {
+                for depth in 1..=4 {
+                    let mut p = kind.build(depth, num_procs);
+                    for &(b, m) in &stream {
+                        p.observe(b, m);
+                    }
+                    let reference = TraceEval {
+                        kind,
+                        depth,
+                        stats: p.stats(),
+                        storage: p.storage(),
+                    };
+                    prop_assert_eq!(
+                        evaluate_trace(&trace, kind, depth, num_procs),
+                        reference,
+                        "{} d={} at {} procs", kind, depth, num_procs
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_block_continues_observed_state(
+        raw in proptest::collection::vec((0u64..6, 0usize..5, 0usize..256), 0..300),
+        cut in 0usize..300,
+    ) {
+        for num_procs in [8usize, 128] {
+            let stream = replay_stream(&raw, num_procs);
+            // Observe a prefix message by message, then hand each
+            // block's remaining stream to `replay_block`.
+            let (head, tail) = stream.split_at(cut.min(stream.len()));
+            let mut rest: BTreeMap<BlockAddr, Vec<DirMsg>> = BTreeMap::new();
+            for &(b, m) in tail {
+                rest.entry(b).or_default().push(m);
+            }
+            for kind in PredictorKind::ALL {
+                for depth in 1..=4 {
+                    let mut reference = kind.build(depth, num_procs);
+                    for &(b, m) in &stream {
+                        reference.observe(b, m);
+                    }
+                    let mut mixed = kind.build(depth, num_procs);
+                    for &(b, m) in head {
+                        mixed.observe(b, m);
+                    }
+                    for (&b, msgs) in &rest {
+                        mixed.replay_block(b, msgs);
+                    }
+                    // An empty stream for an unseen block allocates
+                    // nothing (in particular, grows no VMSP arena).
+                    mixed.replay_block(BlockAddr(1 << 20), &[]);
+                    prop_assert_eq!(mixed.stats(), reference.stats());
+                    prop_assert_eq!(
+                        mixed.storage(),
+                        reference.storage(),
+                        "{} d={} at {} procs", kind, depth, num_procs
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Decodes `(block, kind, proc)` triples into a directory message
+/// stream over six blocks spread across homes and pages. Blocks 4 and
+/// 5 only ever receive acknowledgements, so MSP and VMSP must allocate
+/// no state for them. Processor ids wrap at `num_procs`; at 128
+/// processors, read vectors spill past the inline 64-bit word.
+fn replay_stream(raw: &[(u64, usize, usize)], num_procs: usize) -> Vec<(BlockAddr, DirMsg)> {
+    raw.iter()
+        .map(|&(b, kind, p)| {
+            let p = ProcId(p % num_procs);
+            let kind = if b >= 4 { 3 + kind % 2 } else { kind };
+            let msg = match kind {
+                0 => DirMsg::read(p),
+                1 => DirMsg::write(p),
+                2 => DirMsg::upgrade(p),
+                3 => DirMsg::ack_inv(p),
+                _ => DirMsg::writeback(p),
+            };
+            (BlockAddr(b * 131), msg)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
