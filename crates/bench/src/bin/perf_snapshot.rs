@@ -17,20 +17,13 @@
 //!   events processed, and events/second — alongside the recorded
 //!   seed baseline (BinaryHeap event queue + per-home `HashMap`
 //!   directories) so the speedup is visible in one file; plus the
-//!   `scaling` section: the nodes × worker-threads matrix (16/64/256
-//!   nodes, sequential vs windowed 1/2/4 workers) of the sharded
-//!   engine.
+//!   `scaling` section (em3d at 16, 64 and 256 nodes) and the `faults`
+//!   section (em3d under the suite fault plan with the auditor armed).
 //!
 //! ```text
 //! perf_snapshot [--out FILE] [--protocol-out FILE] [--skip-protocol]
-//!     [--engine seq|windowed]
 //!     (defaults: BENCH_predictors.json, BENCH_protocol.json)
 //! ```
-//!
-//! `--engine` runs the end-to-end suite on the chosen engine (the
-//! windowed engine at 2 workers) and restricts the scaling matrix to
-//! that engine family; the default keeps the historical shape — sequential
-//! suite, full matrix.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -39,7 +32,7 @@ use specdsm_bench::{producer_consumer_stream, Lab};
 use specdsm_core::{
     evaluate_trace, History, PatternTable, PredictorKind, SharingPredictor, Symbol, Vmsp,
 };
-use specdsm_protocol::{EngineConfig, FaultStats, SpecPolicy, System, SystemConfig};
+use specdsm_protocol::{FaultStats, SpecPolicy, System, SystemConfig};
 use specdsm_types::{
     BlockAddr, DirMsg, MachineConfig, ProcId, ReaderSet, ReaderSetInterner, ReqKind,
 };
@@ -318,17 +311,15 @@ const SEED_PER_RUN_WALL_MS: [(&str, f64); 21] = [
 ];
 
 /// Runs the full application suite end to end (default scale, paper
-/// machine) once per policy on `engine` and records per-run wall time
-/// and event throughput. One untimed warm-up run precedes the
-/// measurements.
-fn protocol_rows(engine: EngineConfig) -> Vec<ProtoRow> {
+/// machine) once per policy and records per-run wall time and event
+/// throughput. One untimed warm-up run precedes the measurements.
+fn protocol_rows() -> Vec<ProtoRow> {
     let machine = MachineConfig::paper_machine();
     // Warm-up: populate allocator arenas and branch predictors.
     {
         let w = AppId::Ocean.build(&machine, Scale::Default);
         let cfg = SystemConfig {
             machine: machine.clone(),
-            engine,
             ..SystemConfig::default()
         };
         let _ = System::new(cfg, w.as_ref()).expect("valid").run();
@@ -340,7 +331,6 @@ fn protocol_rows(engine: EngineConfig) -> Vec<ProtoRow> {
             let cfg = SystemConfig {
                 machine: machine.clone(),
                 policy,
-                engine,
                 ..SystemConfig::default()
             };
             let sys = System::new(cfg, w.as_ref()).expect("valid");
@@ -363,36 +353,16 @@ struct ScalingRow {
     app: String,
     nodes: usize,
     scale: &'static str,
-    /// `"sequential"` or `"windowed-Nt"`.
-    engine: String,
-    /// Worker threads (0 for the sequential single-shard engine).
-    threads: usize,
     wall_ms: f64,
     sim_events: u64,
     exec_cycles: u64,
 }
 
-/// The nodes × engine × worker-threads scaling matrix over em3d (the
-/// most communication-bound app): 16 nodes (the paper machine), 64
+/// The node-count scaling rows over em3d (the most
+/// communication-bound app), SWI-DSM: 16 nodes (the paper machine), 64
 /// (the former `ReaderSet` ceiling), and 256 (well past it, quick
-/// inputs to bound runtime). Each node count runs the sequential
-/// engine once and the windowed engine at 1, 2, and 4 workers.
-/// `only` restricts the matrix to one engine family (`--engine`).
-fn scaling_rows(only: Option<&str>) -> Vec<ScalingRow> {
-    let wanted = |family: &str| only.is_none_or(|f| f == family);
-    let mut engines = Vec::new();
-    if wanted("seq") {
-        engines.push(("sequential".to_string(), 0usize, EngineConfig::Sequential));
-    }
-    if wanted("windowed") {
-        for threads in [1usize, 2, 4] {
-            engines.push((
-                format!("windowed-{threads}t"),
-                threads,
-                EngineConfig::Windowed { threads },
-            ));
-        }
-    }
+/// inputs to bound runtime).
+fn scaling_rows() -> Vec<ScalingRow> {
     let app = AppId::Em3d;
     let mut rows = Vec::new();
     for (nodes, scale, scale_name) in [
@@ -400,36 +370,30 @@ fn scaling_rows(only: Option<&str>) -> Vec<ScalingRow> {
         (64, Scale::Default, "Default"),
         (256, Scale::Quick, "Quick"),
     ] {
-        for (engine_name, threads, engine) in &engines {
-            let machine = MachineConfig::with_nodes(nodes);
-            let w = app.build(&machine, scale);
-            let cfg = SystemConfig {
-                machine,
-                policy: SpecPolicy::SwiFr,
-                engine: *engine,
-                ..SystemConfig::default()
-            };
-            let sys = System::new(cfg, w.as_ref()).expect("valid");
-            let start = Instant::now();
-            let stats = sys.run();
-            rows.push(ScalingRow {
-                app: app.to_string(),
-                nodes,
-                scale: scale_name,
-                engine: engine_name.clone(),
-                threads: *threads,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                sim_events: stats.sim_events,
-                exec_cycles: stats.exec_cycles,
-            });
-        }
+        let machine = MachineConfig::with_nodes(nodes);
+        let w = app.build(&machine, scale);
+        let cfg = SystemConfig {
+            machine,
+            policy: SpecPolicy::SwiFr,
+            ..SystemConfig::default()
+        };
+        let sys = System::new(cfg, w.as_ref()).expect("valid");
+        let start = Instant::now();
+        let stats = sys.run();
+        rows.push(ScalingRow {
+            app: app.to_string(),
+            nodes,
+            scale: scale_name,
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            sim_events: stats.sim_events,
+            exec_cycles: stats.exec_cycles,
+        });
     }
     rows
 }
 
 struct FaultRow {
     policy: String,
-    engine: &'static str,
     wall_ms: f64,
     sim_events: u64,
     exec_cycles: u64,
@@ -438,7 +402,7 @@ struct FaultRow {
 
 /// Fault-injection overhead probe: em3d (the most communication-bound
 /// app) under the suite-standard fault plan with the coherence auditor
-/// armed, on both engines. The interesting numbers are the recovery
+/// armed. The interesting numbers are the recovery
 /// counters and the wall-clock cost of the fault + audit machinery
 /// relative to the reliable rows above.
 fn fault_rows() -> Vec<FaultRow> {
@@ -447,30 +411,23 @@ fn fault_rows() -> Vec<FaultRow> {
     let plan = fault_plan(0xbad5eed);
     let mut rows = Vec::new();
     for policy in [SpecPolicy::Base, SpecPolicy::SwiFr] {
-        for (engine_name, engine) in [
-            ("sequential", EngineConfig::Sequential),
-            ("windowed-2t", EngineConfig::Windowed { threads: 2 }),
-        ] {
-            let cfg = SystemConfig {
-                machine: machine.clone(),
-                policy,
-                engine,
-                faults: Some(plan.clone()),
-                audit: true,
-                ..SystemConfig::default()
-            };
-            let sys = System::new(cfg, w.as_ref()).expect("valid");
-            let start = Instant::now();
-            let stats = sys.run();
-            rows.push(FaultRow {
-                policy: policy.to_string(),
-                engine: engine_name,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                sim_events: stats.sim_events,
-                exec_cycles: stats.exec_cycles,
-                faults: stats.faults,
-            });
-        }
+        let cfg = SystemConfig {
+            machine: machine.clone(),
+            policy,
+            faults: Some(plan.clone()),
+            audit: true,
+            ..SystemConfig::default()
+        };
+        let sys = System::new(cfg, w.as_ref()).expect("valid");
+        let start = Instant::now();
+        let stats = sys.run();
+        rows.push(FaultRow {
+            policy: policy.to_string(),
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            sim_events: stats.sim_events,
+            exec_cycles: stats.exec_cycles,
+            faults: stats.faults,
+        });
     }
     rows
 }
@@ -501,12 +458,7 @@ fn policy_overhead(rows: &[ProtoRow], policy: &str) -> (f64, f64) {
     )
 }
 
-fn render_protocol_json(
-    engine_name: &str,
-    rows: &[ProtoRow],
-    scaling: &[ScalingRow],
-    faults: &[FaultRow],
-) -> String {
+fn render_protocol_json(rows: &[ProtoRow], scaling: &[ScalingRow], faults: &[FaultRow]) -> String {
     let suite_wall_ms: f64 = rows.iter().map(|r| r.wall_ms).sum();
     let total_events: u64 = rows.iter().map(|r| r.sim_events).sum();
     let events_per_sec = total_events as f64 / (suite_wall_ms / 1e3);
@@ -518,7 +470,6 @@ fn render_protocol_json(
     out.push_str("{\n");
     out.push_str("  \"bench\": \"protocol_end_to_end\",\n");
     out.push_str("  \"scale\": \"Default\",\n");
-    let _ = writeln!(out, "  \"suite_engine\": \"{engine_name}\",");
     out.push_str("  \"machine_nodes\": 16,\n");
     let _ = writeln!(
         out,
@@ -587,12 +538,7 @@ fn render_protocol_json(
         );
     }
     out.push_str("  ],\n");
-    // The nodes × worker-threads matrix (em3d, SWI-DSM). `threads: 0`
-    // is the sequential single-shard engine; `threads >= 1` the
-    // windowed sharded engine. Worker speedup only materializes on
-    // multi-core hosts: on a single-CPU container the workers
-    // timeshare and the barrier overhead is all that remains, so read
-    // the 2/4-thread walls together with `host_cpus`.
+    // Node-count scaling (em3d, SWI-DSM).
     let host_cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
     out.push_str("  \"scaling\": [\n");
@@ -601,18 +547,10 @@ fn render_protocol_json(
         let eps = r.sim_events as f64 / (r.wall_ms / 1e3);
         let _ = writeln!(
             out,
-            "    {{\"app\": \"{}\", \"nodes\": {}, \"scale\": \"{}\", \"engine\": \"{}\", \
-             \"threads\": {}, \"wall_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \
+            "    {{\"app\": \"{}\", \"nodes\": {}, \"scale\": \"{}\", \
+             \"wall_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \
              \"exec_cycles\": {}}}{comma}",
-            r.app,
-            r.nodes,
-            r.scale,
-            r.engine,
-            r.threads,
-            r.wall_ms,
-            r.sim_events,
-            eps,
-            r.exec_cycles
+            r.app, r.nodes, r.scale, r.wall_ms, r.sim_events, eps, r.exec_cycles
         );
     }
     out.push_str("  ],\n");
@@ -629,12 +567,11 @@ fn render_protocol_json(
         let f = r.faults;
         let _ = writeln!(
             out,
-            "    {{\"app\": \"em3d\", \"policy\": \"{}\", \"engine\": \"{}\", \
+            "    {{\"app\": \"em3d\", \"policy\": \"{}\", \
              \"wall_ms\": {:.1}, \"wall_vs_reliable\": {:.3}, \"sim_events\": {}, \
              \"exec_cycles\": {}, \"drops\": {}, \"duplicates\": {}, \"retries\": {}, \
              \"dup_suppressed\": {}, \"recovery_cycles\": {}}}{comma}",
             r.policy,
-            r.engine,
             r.wall_ms,
             r.wall_ms / reliable,
             r.sim_events,
@@ -750,7 +687,6 @@ fn main() {
     let mut out_path = String::from("BENCH_predictors.json");
     let mut protocol_out_path = String::from("BENCH_protocol.json");
     let mut skip_protocol = false;
-    let mut engine_arg: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -767,13 +703,9 @@ fn main() {
                 });
             }
             "--skip-protocol" => skip_protocol = true,
-            "--engine" => {
-                engine_arg = Some(args.next().unwrap_or_default());
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: perf_snapshot [--out FILE] [--protocol-out FILE] [--skip-protocol] \
-                     [--engine seq|windowed]"
+                    "usage: perf_snapshot [--out FILE] [--protocol-out FILE] [--skip-protocol]"
                 );
                 return;
             }
@@ -783,14 +715,6 @@ fn main() {
             }
         }
     }
-    let (engine_name, suite_engine) = match engine_arg.as_deref() {
-        None | Some("seq") => ("seq", EngineConfig::Sequential),
-        Some("windowed") => ("windowed", EngineConfig::Windowed { threads: 2 }),
-        Some(other) => {
-            eprintln!("unknown engine '{other}' (seq|windowed)");
-            std::process::exit(2);
-        }
-    };
 
     let window = Duration::from_millis(300);
     eprintln!("measuring observe throughput (9 configurations)...");
@@ -813,13 +737,13 @@ fn main() {
     if skip_protocol {
         return;
     }
-    eprintln!("running end-to-end suite (7 apps x 3 policies, default scale, {engine_name})...");
-    let rows = protocol_rows(suite_engine);
-    eprintln!("running scaling matrix (nodes 16/64/256 x engines)...");
-    let scaling = scaling_rows(engine_arg.as_deref());
-    eprintln!("running fault-injection probe (em3d, audited, 2 policies x 2 engines)...");
+    eprintln!("running end-to-end suite (7 apps x 3 policies, default scale)...");
+    let rows = protocol_rows();
+    eprintln!("running scaling rows (em3d at 16/64/256 nodes)...");
+    let scaling = scaling_rows();
+    eprintln!("running fault-injection probe (em3d, audited, 2 policies)...");
     let faults = fault_rows();
-    let json = render_protocol_json(engine_name, &rows, &scaling, &faults);
+    let json = render_protocol_json(&rows, &scaling, &faults);
     print!("{json}");
     if let Err(e) = std::fs::write(&protocol_out_path, &json) {
         eprintln!("cannot write {protocol_out_path}: {e}");

@@ -2,20 +2,12 @@
 //! evaluation section.
 //!
 //! ```text
-//! repro [EXPERIMENT ...] [--scale quick|default|paper] [--threads N]
-//!       [--engine seq|windowed] [--out DIR]
+//! repro [EXPERIMENT ...] [--scale quick|default|paper] [--out DIR]
 //!
 //! EXPERIMENT: config fig6 fig7 fig8 table3 table4 fig9 table5 all
 //!             detail ablation
 //!             (default: all = the eight paper experiments)
 //! ```
-//!
-//! `--engine` picks the simulation engine explicitly: `seq` (the
-//! default single-shard engine) or `windowed` (conservative bounded-lag
-//! shards). `--threads N` sets the worker count for the windowed
-//! engine; on its own it implies `--engine windowed` (`N = 0` means
-//! sequential). Engine choice perturbs results only by deterministic
-//! same-cycle tie-breaking — see `docs/ARCHITECTURE.md`.
 //!
 //! Every argument is checked before any experiment runs: a bad name or
 //! option exits with status 2 and no output.
@@ -27,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use specdsm_bench::{fig6, fig7, fig8, fig9, table3, table4, table5, Lab, Scale, TextTable};
-use specdsm_protocol::{EngineConfig, SpecPolicy};
+use specdsm_protocol::SpecPolicy;
 use specdsm_types::MachineConfig;
 use specdsm_workloads::AppId;
 
@@ -42,8 +34,7 @@ const EXTRA_EXPERIMENTS: [&str; 2] = ["detail", "ablation"];
 
 const USAGE: &str =
     "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all|detail|ablation ...] \
-                     [--scale quick|default|paper] [--threads N] \
-                     [--engine seq|windowed] [--out DIR]";
+                     [--scale quick|default|paper] [--out DIR]";
 
 /// A fully validated command line.
 #[derive(Debug, PartialEq)]
@@ -51,7 +42,6 @@ struct Args {
     /// Experiments to run, in order, with `all` already expanded.
     experiments: Vec<String>,
     scale: Scale,
-    engine: EngineConfig,
     out_dir: Option<PathBuf>,
     /// `--help` was given: print usage and run nothing.
     help: bool,
@@ -63,8 +53,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut experiments: Vec<String> = Vec::new();
     let mut scale = Scale::Default;
     let mut out_dir: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut engine: Option<String> = None;
 
     let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
@@ -78,14 +66,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     other => return Err(format!("unknown scale '{other}' (quick|default|paper)")),
                 };
             }
-            "--threads" => {
-                let v = argv.next().unwrap_or_default();
-                threads = Some(
-                    v.parse()
-                        .map_err(|_| "--threads needs a number".to_string())?,
-                );
-            }
-            "--engine" => engine = Some(argv.next().unwrap_or_default()),
             "--out" => {
                 let dir = argv.next().ok_or("--out needs a directory")?;
                 out_dir = Some(PathBuf::from(dir));
@@ -94,10 +74,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 return Ok(Args {
                     experiments: Vec::new(),
                     scale,
-                    engine: EngineConfig::Sequential,
                     out_dir,
                     help: true,
                 });
+            }
+            other if other.starts_with('-') => {
+                return Err(format!("unknown option '{other}'"));
             }
             other => {
                 let known = other == "all"
@@ -113,23 +95,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
         experiments = PAPER_EXPERIMENTS.iter().map(ToString::to_string).collect();
     }
-    let engine = match engine.as_deref() {
-        // `--threads N` alone selects the windowed engine (N = 0 for
-        // sequential).
-        None => match threads {
-            None | Some(0) => EngineConfig::Sequential,
-            Some(threads) => EngineConfig::Windowed { threads },
-        },
-        Some("seq") => EngineConfig::Sequential,
-        Some("windowed") => EngineConfig::Windowed {
-            threads: threads.unwrap_or(1).max(1),
-        },
-        Some(other) => return Err(format!("unknown engine '{other}' (seq|windowed)")),
-    };
     Ok(Args {
         experiments,
         scale,
-        engine,
         out_dir,
         help: false,
     })
@@ -149,7 +117,6 @@ fn main() {
     }
 
     let mut lab = Lab::new(args.scale);
-    lab.set_engine(args.engine);
     for exp in &args.experiments {
         let text = match exp.as_str() {
             "config" => render_config(),
@@ -565,7 +532,6 @@ mod tests {
         let args = parse(&[]).unwrap();
         assert_eq!(args.experiments, PAPER_EXPERIMENTS);
         assert_eq!(args.scale, Scale::Default);
-        assert_eq!(args.engine, EngineConfig::Sequential);
         assert_eq!(
             parse(&["fig7", "all"]).unwrap().experiments,
             PAPER_EXPERIMENTS
@@ -590,32 +556,22 @@ mod tests {
     }
 
     #[test]
-    fn threads_alone_select_the_windowed_engine() {
-        let engine = |args: &[&str]| parse(args).unwrap().engine;
-        assert_eq!(engine(&["--threads", "0"]), EngineConfig::Sequential);
+    fn engine_options_are_unknown_arguments() {
+        // The simulator has one engine: the former engine and worker
+        // options are rejected like any other unknown option.
         assert_eq!(
-            engine(&["--threads", "3"]),
-            EngineConfig::Windowed { threads: 3 }
+            parse(&["--threads", "2"]).unwrap_err(),
+            "unknown option '--threads'"
         );
         assert_eq!(
-            engine(&["--engine", "windowed"]),
-            EngineConfig::Windowed { threads: 1 }
-        );
-        assert_eq!(
-            engine(&["--engine", "windowed", "--threads", "0"]),
-            EngineConfig::Windowed { threads: 1 }
-        );
-        assert_eq!(
-            engine(&["--threads", "4", "--engine", "seq"]),
-            EngineConfig::Sequential
+            parse(&["fig7", "--engine", "seq"]).unwrap_err(),
+            "unknown option '--engine'"
         );
     }
 
     #[test]
     fn bad_options_are_rejected() {
-        assert!(parse(&["--engine", "turbo"]).is_err());
         assert!(parse(&["--scale", "huge"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
         assert!(parse(&["--out"]).is_err());
         let args = parse(&["table3", "--scale", "quick", "--out", "dir"]).unwrap();
         assert_eq!(args.scale, Scale::Quick);

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use specdsm_core::DirectoryTrace;
-use specdsm_protocol::{EngineConfig, RunStats, SpecPolicy, System, SystemConfig};
+use specdsm_protocol::{RunStats, SpecPolicy, System, SystemConfig};
 use specdsm_types::MachineConfig;
 use specdsm_workloads::{AppId, Scale};
 
@@ -14,7 +14,6 @@ use specdsm_workloads::{AppId, Scale};
 pub struct Lab {
     machine: MachineConfig,
     scale: Scale,
-    engine: EngineConfig,
     traces: HashMap<AppId, DirectoryTrace>,
     runs: HashMap<(AppId, SpecPolicy), RunStats>,
 }
@@ -27,19 +26,9 @@ impl Lab {
         Lab {
             machine: MachineConfig::paper_machine(),
             scale,
-            engine: EngineConfig::Sequential,
             traces: HashMap::new(),
             runs: HashMap::new(),
         }
-    }
-
-    /// Switches every subsequent simulation onto `engine` (`repro
-    /// --engine` / `--threads`). Cached runs are dropped — engine
-    /// choice is part of the cache key in spirit.
-    pub fn set_engine(&mut self, engine: EngineConfig) {
-        self.engine = engine;
-        self.traces.clear();
-        self.runs.clear();
     }
 
     /// The machine all experiments run on.
@@ -63,7 +52,6 @@ impl Lab {
                 machine: self.machine.clone(),
                 policy: SpecPolicy::Base,
                 record_trace: true,
-                engine: self.engine,
                 ..SystemConfig::default()
             };
             let stats = System::new(cfg, workload.as_ref())
@@ -82,7 +70,6 @@ impl Lab {
             let cfg = SystemConfig {
                 machine: self.machine.clone(),
                 policy,
-                engine: self.engine,
                 ..SystemConfig::default()
             };
             let stats = System::new(cfg, workload.as_ref())

@@ -290,7 +290,7 @@ impl Vmsp {
     }
 
     /// Resolves `block` within `home`'s arena — the guarded,
-    /// sharding-facing form of [`Vmsp::slot_of`]. Mirroring the
+    /// home-routed form of [`Vmsp::slot_of`]. Mirroring the
     /// directory's foreign-block rule, a block homed at a *different*
     /// node reports no state (`None`) instead of aliasing onto one of
     /// `home`'s local slots. The geometry is evaluated once — the

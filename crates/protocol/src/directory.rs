@@ -23,7 +23,7 @@ use specdsm_types::{BlockAddr, HomeGeometry, MachineConfig, NodeId, ProcId, ReqK
 ///
 /// The sharer set is an interned [`SetId`]: machines up to 64
 /// processors encode the set inline in the id itself, wider sets point
-/// into the owning shard's
+/// into the machine's
 /// [`ReaderSetInterner`](specdsm_types::ReaderSetInterner) arena. That
 /// keeps this enum `Copy` — directory records move through audits
 /// and coherence checks without cloning heap words.

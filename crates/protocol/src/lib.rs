@@ -66,10 +66,10 @@
 mod audit;
 mod cache;
 mod directory;
+mod machine;
 mod msg;
 mod network;
 mod processor;
-mod shard;
 mod spec;
 mod spec_ref;
 mod stats;
@@ -85,7 +85,7 @@ pub use spec::{SpecPolicy, SpecStats, SpecStore};
 pub use spec_ref::MapSpecStore;
 pub use stats::{FaultStats, ProcStats, RunStats};
 pub use sync::{BarrierManager, LockManager};
-pub use system::{BuildError, EngineConfig, EngineError, GenericSystem, System, SystemConfig};
+pub use system::{BuildError, EngineError, GenericSystem, System, SystemConfig};
 
 // Re-exported so alternative [`SpecStore`] backends can be written
 // against this crate alone.

@@ -1,39 +1,25 @@
-//! The per-home protocol shard: all node-local simulation state plus
-//! the transaction logic of the coherence protocol.
+//! The simulated machine: all simulation state plus the transaction
+//! logic of the coherence protocol, driven by one event loop.
 //!
-//! A [`HomeShard`] owns a contiguous range of nodes — their processors,
-//! caches, directories, memory buses, network interfaces, and
-//! speculation/predictor state — together with a private
-//! [`KeyedQueue`] event queue. The whole-machine engine
-//! ([`GenericSystem`](crate::GenericSystem)) is a composition of
-//! shards:
+//! A [`Machine`] owns every node — processors, caches, directories,
+//! memory buses, network interfaces, speculation/predictor state — the
+//! barrier and lock managers, and one [`EventQueue`]. [`Machine::run`]
+//! pops events in `(cycle, schedule order)` order until the queue
+//! drains; the whole-machine wrapper
+//! ([`GenericSystem`](crate::GenericSystem)) builds the machine, runs
+//! it, and turns its state into statistics.
 //!
-//! * **Sequential mode** builds one shard spanning every node and runs
-//!   its queue to exhaustion; cross-node messages deliver immediately,
-//!   exactly like the pre-shard monolithic engine (bit-for-bit).
-//! * **Windowed mode** builds one shard per home and executes them in
-//!   bounded-lag windows (optionally on worker threads). Cross-shard
-//!   messages leave through [`HomeShard::outbox`] carrying their
-//!   deterministic [`SchedKey`] and are merged into the destination
-//!   shard at window barriers.
-//!
-//! Everything order-sensitive goes through one per-shard monotone
-//! action counter: event scheduling, network-interface acquisition and
-//! mailbox keys all derive from it, which is what makes windowed runs
-//! independent of the worker-thread count. The protocol handlers
-//! themselves (directory transactions, speculation triggers,
-//! verification feedback) are the former `system.rs` logic, indexed
-//! through the shard's node range.
-//!
-//! Synchronization (barriers, locks) is global state owned by the
-//! engine, not by any shard: a shard encountering a sync operation
-//! **yields** it ([`ShardYield::Sync`]) and pauses; the engine
-//! arbitrates and answers with [`Directive`]s.
+//! A cross-node message pays the sender's outbound network interface,
+//! the network hop and the receiver's inbound interface at send time,
+//! and its delivery is scheduled at once. Synchronization resolves
+//! inline too: when a processor reaches a barrier, lock or unlock, the
+//! machine arbitrates it against the managers and applies the
+//! resulting [`Directive`]s before the next event runs.
 
 use std::sync::Arc;
 
 use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger, VSlot};
-use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
+use specdsm_sim::{Cycle, EventQueue, FifoResource};
 use specdsm_types::{
     BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
     ReaderSetInterner, ReqKind,
@@ -46,10 +32,8 @@ use crate::network::Network;
 use crate::processor::{Blocked, ProcAction, Processor};
 use crate::spec::{SpecEngine, SpecStore};
 use crate::stats::FaultStats;
-
-/// Index of a shard within the engine (== home node id in windowed
-/// mode; 0 in sequential single-shard mode).
-pub(crate) type ShardId = u32;
+use crate::sync::{BarrierManager, LockManager};
+use crate::system::EngineError;
 
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
@@ -80,29 +64,28 @@ enum Grant {
     Upgrade,
 }
 
-/// A synchronization operation a shard encountered and cannot decide
-/// locally: barrier arrival, lock acquire, lock release.
+/// A synchronization operation a processor reached: barrier arrival,
+/// lock acquire, lock release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SyncOp {
+struct SyncOp {
     /// Cycle the processor reached the operation.
-    pub at: Cycle,
+    at: Cycle,
     /// The processor performing it.
-    pub proc: ProcId,
-    pub kind: SyncKind,
+    proc: ProcId,
+    kind: SyncKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncKind {
+enum SyncKind {
     Barrier,
     Lock(LockId),
     Unlock(LockId),
 }
 
-/// The engine's answer to sync operations: state changes and resume
-/// schedules to apply inside a shard, in exactly the order the
-/// sequential engine would have performed them.
+/// The effects of one resolved sync operation: state changes and
+/// resume schedules, applied in the order [`resolve_sync`] emits them.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Directive {
+enum Directive {
     /// Mark `proc` blocked (barrier or lock) since cycle `at`.
     Block { proc: ProcId, at: Cycle, lock: bool },
     /// Wake `proc` at cycle `at`: charge its sync wait, clear the
@@ -113,112 +96,106 @@ pub(crate) enum Directive {
     ResumeSelf { proc: ProcId, at: Cycle },
 }
 
-impl Directive {
-    /// The processor the directive targets (→ the shard that applies it).
-    pub(crate) fn proc(&self) -> ProcId {
-        match *self {
-            Directive::Block { proc, .. }
-            | Directive::Release { proc, .. }
-            | Directive::ResumeSelf { proc, .. } => proc,
+/// Applies one sync operation to the managers, emitting the resulting
+/// directives in the order their state changes and schedules happen.
+fn resolve_sync(
+    barrier: &mut BarrierManager,
+    locks: &mut LockManager,
+    op: SyncOp,
+    out: &mut Vec<Directive>,
+) {
+    match op.kind {
+        SyncKind::Barrier => match barrier.arrive(op.proc) {
+            Some(released) => {
+                for w in released {
+                    out.push(Directive::Release { proc: w, at: op.at });
+                }
+            }
+            None => out.push(Directive::Block {
+                proc: op.proc,
+                at: op.at,
+                lock: false,
+            }),
+        },
+        SyncKind::Lock(l) => {
+            if locks.acquire(l, op.proc) {
+                out.push(Directive::ResumeSelf {
+                    proc: op.proc,
+                    at: op.at,
+                });
+            } else {
+                out.push(Directive::Block {
+                    proc: op.proc,
+                    at: op.at,
+                    lock: true,
+                });
+            }
+        }
+        SyncKind::Unlock(l) => {
+            if let Some(next) = locks.release(l, op.proc) {
+                out.push(Directive::Release {
+                    proc: next,
+                    at: op.at,
+                });
+            }
+            out.push(Directive::ResumeSelf {
+                proc: op.proc,
+                at: op.at,
+            });
         }
     }
 }
 
-/// Why [`HomeShard::run_until`] stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardYield {
-    /// No pending event below the horizon.
-    Idle,
-    /// A sync operation was encountered; it is parked in
-    /// [`HomeShard::paused`] until the engine arbitrates it (via
-    /// directives) and unparks the processor. The shard stops dead at
-    /// the op.
-    Sync,
-}
-
-/// One undelivered cross-shard message: the sender-side half of a
-/// network send. `at_dst` is the cycle the message reaches the
-/// destination's inbound NI (departure + network hop); the receiving
-/// shard performs the inbound-NI acquisition when the message is merged
-/// at a window barrier, in global [`SchedKey`] order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct InFlight {
-    pub key: SchedKey,
-    pub at_dst: Cycle,
-    pub msg: Msg,
-}
-
-/// All simulation state of a contiguous range of nodes, plus the
-/// protocol logic operating on it. See the module docs.
-pub(crate) struct HomeShard<V: SpecStore> {
-    pub id: ShardId,
-    /// First owned node.
-    pub lo: usize,
-    /// One past the last owned node.
-    pub hi: usize,
-    /// Owned processors, indexed by `node - lo`.
+/// All simulation state of the machine, plus the protocol logic
+/// operating on it. See the module docs.
+pub(crate) struct Machine<V: SpecStore> {
+    /// Processors, indexed by node.
     pub procs: Vec<Processor>,
-    /// Owned home directories, indexed by `node - lo`.
+    /// Home directories, indexed by node.
     pub dirs: Vec<Directory>,
     /// Hash-cons arena backing the [`DirState::Shared`] sharer sets of
-    /// every owned directory. Shard-local (never shared across worker
-    /// threads), so id assignment depends only on this shard's
+    /// every directory; id assignment depends only on the
     /// deterministic event order.
     pub sets: ReaderSetInterner,
-    /// Owned memory buses, indexed by `node - lo`.
+    /// Memory buses, indexed by node.
     pub mems: Vec<FifoResource>,
-    /// Owned network interfaces (outbound and inbound).
+    /// Network interfaces (outbound and inbound) of every node.
     pub net: Network,
-    /// Per-shard speculation engine (predictor arenas populate only for
-    /// owned homes; counters merge at run end).
+    /// Speculation engine: the online predictor store, the SWI tables
+    /// and the speculation counters.
     pub spec: SpecEngine<V>,
-    pub queue: KeyedQueue<Event>,
-    /// Monotone counter behind every scheduling action's [`SchedKey`].
-    seq: u64,
-    /// Cycle of the event currently being processed (the `sched` part
-    /// of keys consumed while handling it).
-    cur: Cycle,
-    /// Cross-shard sends of the current window: `(destination shard,
-    /// message)`. Drained by the engine at window barriers.
-    pub outbox: Vec<(ShardId, InFlight)>,
-    /// Cross-shard messages received but not yet eligible for inbound
-    /// NI acquisition (their send window may still be open elsewhere).
-    /// Sorted by key; key order == global send order.
-    pub pending_in: std::collections::BTreeMap<SchedKey, InFlight>,
-    /// The parked sync operation: set on [`ShardYield::Sync`], cleared
-    /// when the engine resolves it. The shard runs no event while one
-    /// is parked.
-    pub paused: Option<SyncOp>,
-    /// Per-shard directory message trace (merged at run end).
+    pub queue: EventQueue<Event>,
+    barrier: BarrierManager,
+    locks: LockManager,
+    /// Scratch buffer for one sync resolution's directives (reused, so
+    /// the sync path does not allocate).
+    directives: Vec<Directive>,
+    /// Directory message trace, when recording.
     pub trace: Option<DirectoryTrace>,
+    /// Cycle of the event being (or last) processed.
     pub last_cycle: Cycle,
     pub done_count: usize,
     pub dir_reads: u64,
     pub dir_writes: u64,
     pub dir_upgrades: u64,
-    // Engine configuration mirrored per shard (cheap copies).
     pub machine: MachineConfig,
     pub max_cycles: Option<u64>,
     /// Active fault plan; `None` on a reliable network (all-zero plans
-    /// are normalized away by the engine, keeping them bit-identical
-    /// with no plan at all).
+    /// are normalized away, keeping them bit-identical with no plan at
+    /// all).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Fault and recovery counters (merged at run end).
+    /// Fault and recovery counters.
     pub fstats: FaultStats,
-    /// Highest request sequence number accepted per `(owned home -
-    /// lo, requester)` — the directory-side duplicate-suppression
-    /// state. Empty when no fault plan is active.
+    /// Highest request sequence number accepted per `(home,
+    /// requester)` — the directory-side duplicate-suppression state.
+    /// Empty when no fault plan is active.
     req_seen: Vec<Vec<u64>>,
     /// Optional runtime coherence auditor (purely observational).
     pub audit: Option<Box<Auditor>>,
 }
 
-impl<V: SpecStore> HomeShard<V> {
-    #[allow(clippy::too_many_arguments)]
+impl<V: SpecStore> Machine<V> {
     pub(crate) fn new(
-        id: ShardId,
-        lo: usize,
-        hi: usize,
         procs: Vec<Processor>,
         machine: &MachineConfig,
         spec: SpecEngine<V>,
@@ -227,30 +204,24 @@ impl<V: SpecStore> HomeShard<V> {
         faults: Option<Arc<FaultPlan>>,
         audit: bool,
     ) -> Self {
-        debug_assert_eq!(procs.len(), hi - lo);
+        let n = machine.num_nodes;
+        debug_assert_eq!(procs.len(), n);
         let req_seen = if faults.is_some() {
-            vec![vec![0u64; machine.num_nodes]; hi - lo]
+            vec![vec![0u64; n]; n]
         } else {
             Vec::new()
         };
-        HomeShard {
-            id,
-            lo,
-            hi,
+        Machine {
             procs,
-            dirs: (lo..hi)
-                .map(|n| Directory::new(NodeId(n), machine))
-                .collect(),
+            dirs: (0..n).map(|i| Directory::new(NodeId(i), machine)).collect(),
             sets: ReaderSetInterner::new(),
-            mems: (lo..hi).map(|_| FifoResource::new()).collect(),
-            net: Network::with_range(lo, hi, machine.latency),
+            mems: (0..n).map(|_| FifoResource::new()).collect(),
+            net: Network::new(n, machine.latency),
             spec,
-            queue: KeyedQueue::new(),
-            seq: 0,
-            cur: Cycle::ZERO,
-            outbox: Vec::new(),
-            pending_in: std::collections::BTreeMap::new(),
-            paused: None,
+            queue: EventQueue::new(),
+            barrier: BarrierManager::new(n),
+            locks: LockManager::new(),
+            directives: Vec::new(),
             trace: record_trace.then(DirectoryTrace::new),
             last_cycle: Cycle::ZERO,
             done_count: 0,
@@ -268,68 +239,67 @@ impl<V: SpecStore> HomeShard<V> {
 
     #[inline]
     fn proc_mut(&mut self, p: ProcId) -> &mut Processor {
-        &mut self.procs[p.0 - self.lo]
+        &mut self.procs[p.0]
     }
 
-    /// Consumes the next scheduling-action key. `sched` is the cycle of
-    /// the action — almost always the cycle currently being processed.
-    #[inline]
-    fn next_key(&mut self, sched: Cycle) -> SchedKey {
-        let key = SchedKey {
-            sched: sched.raw(),
-            src: self.id,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        key
-    }
-
-    /// Schedules a local event at `at`; the scheduling action is
-    /// stamped with the current processing cycle.
+    /// Schedules an event at `at`.
     #[inline]
     fn sched(&mut self, at: Cycle, event: Event) {
-        let key = self.next_key(self.cur);
-        self.queue.schedule(at, key, event);
+        self.queue.schedule(at, event);
     }
 
-    /// Schedules an engine-directed event whose scheduling action
-    /// happened at cycle `sched` (sync resolutions at window barriers).
-    pub(crate) fn sched_directed(&mut self, sched: Cycle, at: Cycle, event: Event) {
-        let key = self.next_key(sched);
-        self.queue.schedule(at, key, event);
-    }
-
-    /// Seeds the initial resume of every owned processor at cycle 0.
+    /// Seeds the initial resume of every processor at cycle 0.
     pub(crate) fn seed(&mut self) {
-        for p in self.lo..self.hi {
-            self.sched_directed(Cycle::ZERO, Cycle::ZERO, Event::Resume(ProcId(p)));
+        for p in 0..self.procs.len() {
+            self.sched(Cycle::ZERO, Event::Resume(ProcId(p)));
         }
     }
 
-    /// Lower bound on the delivery cycle of any pending arrival: the
-    /// earliest scheduling action plus the minimum cross-node latency.
-    /// (`handoff ≥ sched + one_way` always; taking the first key makes
-    /// this O(log n) instead of a scan — the bound is queried at every
-    /// window barrier.)
-    pub(crate) fn arrivals_bound(&self) -> Option<Cycle> {
-        let one_way = self.machine.latency.one_way();
-        self.pending_in
-            .first_key_value()
-            .map(|(k, _)| Cycle(k.sched) + one_way)
+    /// Processes events until the queue drains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::CycleLimit`] at the first event past
+    /// `max_cycles`, leaving that event and everything after it
+    /// unprocessed.
+    pub(crate) fn run(&mut self) -> Result<(), EngineError> {
+        while let Some((now, event)) = self.queue.pop() {
+            if let Some(limit) = self.max_cycles {
+                if now.raw() > limit {
+                    return Err(EngineError::CycleLimit {
+                        limit,
+                        cycle: now.raw(),
+                    });
+                }
+            }
+            self.last_cycle = now;
+            match event {
+                Event::Resume(p) => self.step_proc(now, p),
+                Event::Deliver(msg) => self.deliver(now, msg),
+                Event::DirRelease(slot, vslot, block) => {
+                    self.dir_release(now, slot, vslot, block);
+                }
+                Event::ReqTimeout { proc, seq, attempt } => {
+                    self.req_timeout(now, proc, seq, attempt);
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Whether the owned processor(s) include one blocked on
-    /// synchronization — such a shard must not run past `floor + 1`
-    /// because a sync resolution may schedule its resume at `floor + 1`.
-    pub(crate) fn has_sync_blocked(&self) -> bool {
-        self.procs
-            .iter()
-            .any(|p| matches!(p.blocked, Blocked::Barrier(_) | Blocked::Lock(_)))
+    /// Arbitrates a sync operation against the managers and applies
+    /// its directives at once.
+    fn sync(&mut self, op: SyncOp) {
+        let mut directives = std::mem::take(&mut self.directives);
+        resolve_sync(&mut self.barrier, &mut self.locks, op, &mut directives);
+        for d in directives.drain(..) {
+            self.apply(d);
+        }
+        self.directives = directives;
     }
 
-    /// Applies an engine directive (sync resolution effects), in the
-    /// order the engine issues them.
-    pub(crate) fn apply(&mut self, d: Directive) {
+    /// Applies one sync directive.
+    fn apply(&mut self, d: Directive) {
         match d {
             Directive::Block { proc, at, lock } => {
                 self.proc_mut(proc).blocked = if lock {
@@ -349,154 +319,55 @@ impl<V: SpecStore> HomeShard<V> {
                     // never having been marked blocked.
                     _ => {}
                 }
-                self.sched_directed(at, at + 1, Event::Resume(proc));
+                self.sched(at + 1, Event::Resume(proc));
             }
             Directive::ResumeSelf { proc, at } => {
-                self.sched_directed(at, at + 1, Event::Resume(proc));
+                self.sched(at + 1, Event::Resume(proc));
             }
         }
-    }
-
-    /// Merges one batch of cross-shard messages (already sent, not yet
-    /// delivered) into the pending-arrival buffer.
-    pub(crate) fn receive(&mut self, items: impl IntoIterator<Item = InFlight>) {
-        for m in items {
-            let prev = self.pending_in.insert(m.key, m);
-            debug_assert!(prev.is_none(), "duplicate mailbox key");
-        }
-    }
-
-    /// Delivers every pending arrival whose scheduling action precedes
-    /// `floor` (no in-flight or future message can be keyed earlier):
-    /// performs the inbound-NI acquisition in global key order and
-    /// schedules the `Deliver` event at the handoff cycle.
-    pub(crate) fn drain_arrivals(&mut self, floor: Cycle) {
-        while let Some(entry) = self.pending_in.first_entry() {
-            if entry.get().key.sched >= floor.raw() {
-                break;
-            }
-            let (key, m) = entry.remove_entry();
-            self.deliver_in(key, m);
-        }
-    }
-
-    /// Delivers one merged cross-shard message: inbound-NI acquisition
-    /// plus the `Deliver` schedule, keyed by the sender's action key.
-    #[inline]
-    fn deliver_in(&mut self, key: SchedKey, m: InFlight) {
-        let handoff = self.net.arrive(m.at_dst, m.msg.dst);
-        self.queue.schedule(handoff, key, Event::Deliver(m.msg));
-    }
-
-    /// Fast path for a window merge whose every message is already
-    /// eligible (the common case: the floor advanced a whole window):
-    /// deliver the key-sorted batch directly, skipping the pending
-    /// buffer. Callers must guarantee the batch is sorted, every
-    /// `sched < floor`, and no earlier-keyed arrival is pending.
-    pub(crate) fn deliver_batch(&mut self, items: impl IntoIterator<Item = InFlight>) {
-        debug_assert!(self.pending_in.is_empty());
-        for m in items {
-            let key = m.key;
-            self.deliver_in(key, m);
-        }
-    }
-
-    /// Removes the parked sync operation of `proc` (the engine resolved
-    /// it and applied the matching directives).
-    pub(crate) fn unpark(&mut self, proc: ProcId) {
-        debug_assert_eq!(self.paused.map(|o| o.proc), Some(proc));
-        self.paused = None;
-    }
-
-    /// Processes queued events with cycle **strictly below** `horizon`,
-    /// stopping dead at the first sync operation encountered: it is
-    /// parked in [`HomeShard::paused`] and [`ShardYield::Sync`] is
-    /// returned. Callers must not run the shard again until the engine
-    /// has resolved the op — nothing on the shard may run ahead of it.
-    pub(crate) fn run_until(&mut self, horizon: Cycle) -> ShardYield {
-        debug_assert!(self.paused.is_none(), "run_until with a parked sync op");
-        while let Some((now, event)) = self.queue.pop_before(horizon) {
-            if let Some(limit) = self.max_cycles {
-                assert!(
-                    now.raw() <= limit,
-                    "simulation exceeded max_cycles = {limit}"
-                );
-            }
-            self.cur = now;
-            self.last_cycle = now;
-            match event {
-                Event::Resume(p) => {
-                    if let Some(op) = self.step_proc(now, p) {
-                        self.paused = Some(op);
-                        return ShardYield::Sync;
-                    }
-                }
-                Event::Deliver(msg) => self.deliver(now, msg),
-                Event::DirRelease(slot, vslot, block) => {
-                    self.dir_release(now, slot, vslot, block);
-                }
-                Event::ReqTimeout { proc, seq, attempt } => {
-                    self.req_timeout(now, proc, seq, attempt);
-                }
-            }
-        }
-        ShardYield::Idle
     }
 
     /// The directory record of a resolved slot.
     #[inline]
     fn dblk(&mut self, s: DirSlot) -> &mut DirBlock {
-        self.dirs[s.home.0 - self.lo].at_mut(s.idx)
+        self.dirs[s.home.0].at_mut(s.idx)
     }
 
     /// Read-only access to a resolved slot's record (does not mark the
     /// block active).
     #[inline]
     fn dblk_ref(&self, s: DirSlot) -> &DirBlock {
-        self.dirs[s.home.0 - self.lo].at(s.idx)
+        self.dirs[s.home.0].at(s.idx)
     }
 
     // ------------------------------------------------------------------
     // Processor side
     // ------------------------------------------------------------------
 
-    /// Advances processor `p`; returns a sync operation if it reached
-    /// one (the caller parks it for the engine).
-    fn step_proc(&mut self, now: Cycle, p: ProcId) -> Option<SyncOp> {
-        match self.proc_mut(p).next_action() {
-            ProcAction::Busy(n) => self.sched(now + n, Event::Resume(p)),
-            ProcAction::ReadMiss(b) => self.issue(now, p, b, ReqKind::Read),
-            ProcAction::WriteMiss(b) => self.issue(now, p, b, ReqKind::Write),
-            ProcAction::UpgradeMiss(b) => self.issue(now, p, b, ReqKind::Upgrade),
-            ProcAction::Barrier => {
-                return Some(SyncOp {
-                    at: now,
-                    proc: p,
-                    kind: SyncKind::Barrier,
-                })
-            }
-            ProcAction::Lock(l) => {
-                return Some(SyncOp {
-                    at: now,
-                    proc: p,
-                    kind: SyncKind::Lock(l),
-                })
-            }
-            ProcAction::Unlock(l) => {
-                return Some(SyncOp {
-                    at: now,
-                    proc: p,
-                    kind: SyncKind::Unlock(l),
-                })
-            }
+    /// Advances processor `p` by one action; a sync operation is
+    /// resolved on the spot.
+    fn step_proc(&mut self, now: Cycle, p: ProcId) {
+        let kind = match self.proc_mut(p).next_action() {
+            ProcAction::Busy(n) => return self.sched(now + n, Event::Resume(p)),
+            ProcAction::ReadMiss(b) => return self.issue(now, p, b, ReqKind::Read),
+            ProcAction::WriteMiss(b) => return self.issue(now, p, b, ReqKind::Write),
+            ProcAction::UpgradeMiss(b) => return self.issue(now, p, b, ReqKind::Upgrade),
+            ProcAction::Barrier => SyncKind::Barrier,
+            ProcAction::Lock(l) => SyncKind::Lock(l),
+            ProcAction::Unlock(l) => SyncKind::Unlock(l),
             ProcAction::Done => {
                 let pr = self.proc_mut(p);
                 pr.blocked = Blocked::Done;
                 pr.stats.finished_at = now.raw();
                 self.done_count += 1;
+                return;
             }
-        }
-        None
+        };
+        self.sync(SyncOp {
+            at: now,
+            proc: p,
+            kind,
+        });
     }
 
     fn issue(&mut self, now: Cycle, p: ProcId, block: BlockAddr, kind: ReqKind) {
@@ -585,7 +456,10 @@ impl<V: SpecStore> HomeShard<V> {
         extra: u64,
         drop: bool,
     ) {
-        debug_assert!(now >= self.cur, "messages are never sent in the past");
+        debug_assert!(
+            now >= self.last_cycle,
+            "messages are never sent in the past"
+        );
         debug_assert_ne!(src, dst, "node-local delivery cannot fault");
         let msg = Msg {
             src,
@@ -597,7 +471,7 @@ impl<V: SpecStore> HomeShard<V> {
         // fault happens in the network, past the injection point.
         let at_dst = self.net.depart(now, src) + extra;
         if !drop {
-            self.route(at_dst, msg);
+            self.arrive(at_dst, msg);
         }
     }
 
@@ -740,15 +614,12 @@ impl<V: SpecStore> HomeShard<V> {
     // Message plumbing
     // ------------------------------------------------------------------
 
-    /// Whether `node` is one of this shard's own homes.
-    #[inline]
-    fn owns(&self, node: NodeId) -> bool {
-        (self.lo..self.hi).contains(&node.0)
-    }
-
     #[inline]
     fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, block: BlockAddr, kind: MsgKind) {
-        debug_assert!(now >= self.cur, "messages are never sent in the past");
+        debug_assert!(
+            now >= self.last_cycle,
+            "messages are never sent in the past"
+        );
         let msg = Msg {
             src,
             dst,
@@ -765,26 +636,16 @@ impl<V: SpecStore> HomeShard<V> {
             return;
         }
         let at_dst = self.net.depart(now, src);
-        self.route(at_dst, msg);
+        self.arrive(at_dst, msg);
     }
 
-    /// Hands a departed cross-node message, reaching its destination's
-    /// inbound NI at `at_dst`, to the receiving side. With both
-    /// endpoints owned (sequential mode) the delivery completes inline,
-    /// exactly like the monolithic engine; otherwise the message leaves
-    /// through the outbox to its per-home shard, whose id is the
-    /// destination node id.
+    /// Completes a departed cross-node message, which reaches its
+    /// destination's inbound NI at `at_dst`: inbound-NI acquisition and
+    /// the `Deliver` schedule at the handoff cycle.
     #[inline]
-    fn route(&mut self, at_dst: Cycle, msg: Msg) {
-        let dst = msg.dst;
-        if self.owns(dst) {
-            let handoff = self.net.arrive(at_dst, dst);
-            self.sched(handoff, Event::Deliver(msg));
-        } else {
-            let key = self.next_key(self.cur);
-            self.outbox
-                .push((dst.0 as ShardId, InFlight { key, at_dst, msg }));
-        }
+    fn arrive(&mut self, at_dst: Cycle, msg: Msg) {
+        let handoff = self.net.arrive(at_dst, msg.dst);
+        self.sched(handoff, Event::Deliver(msg));
     }
 
     /// Resolves a directory-bound message's block to its [`DirSlot`]
@@ -793,7 +654,7 @@ impl<V: SpecStore> HomeShard<V> {
     /// the store's foreign-block guard: a block not actually homed at
     /// `dst` yields `None` and the speculation paths see no state.
     fn resolve_dir(&mut self, dst: NodeId, block: BlockAddr) -> (DirSlot, Option<VSlot>) {
-        let slot = self.dirs[dst.0 - self.lo].slot_of(block);
+        let slot = self.dirs[dst.0].slot_of(block);
         let vslot = if self.spec.policy.uses_predictor() {
             self.spec.vmsp.resolve(dst, block)
         } else {
@@ -810,7 +671,7 @@ impl<V: SpecStore> HomeShard<V> {
         if self.faults.is_none() {
             return false;
         }
-        let seen = &mut self.req_seen[dst.0 - self.lo][p.0];
+        let seen = &mut self.req_seen[dst.0][p.0];
         // One outstanding request per processor and strictly monotone
         // sequence numbers: anything at or below the watermark was
         // already accepted once.
@@ -879,7 +740,7 @@ impl<V: SpecStore> HomeShard<V> {
             MsgKind::SpecData { version } => self.proc_spec_data(now, dst, block, version),
         }
         if dir_bound && self.audit.is_some() {
-            let state = self.dirs[dst.0 - self.lo].state(block);
+            let state = self.dirs[dst.0].state(block);
             if let Some(audit) = &mut self.audit {
                 audit.check_dir_state(block, state, &self.sets);
             }
@@ -1309,7 +1170,7 @@ impl<V: SpecStore> HomeShard<V> {
     #[inline]
     fn mem_access(&mut self, now: Cycle, home: NodeId) -> Cycle {
         let lat = self.machine.latency;
-        let slot_end = self.mems[home.0 - self.lo].acquire(now, lat.mem_occupancy);
+        let slot_end = self.mems[home.0].acquire(now, lat.mem_occupancy);
         let start = Cycle(slot_end.raw() - lat.mem_occupancy);
         start + lat.mem_access
     }
@@ -1407,7 +1268,7 @@ impl<V: SpecStore> HomeShard<V> {
     /// one the triggering message named, so its slots are resolved
     /// here — once, like `deliver` does for the message's own block.
     fn try_swi(&mut self, now: Cycle, home: NodeId, prev: BlockAddr, owner: ProcId) {
-        let slot = self.dirs[home.0 - self.lo].slot_of(prev);
+        let slot = self.dirs[home.0].slot_of(prev);
         let Some(vslot) = self.spec.vmsp.resolve(home, prev) else {
             return;
         };
@@ -1451,14 +1312,13 @@ fn ack_delay(now: Cycle, p: ProcId, jitter: u64) -> u64 {
     (z ^ (z >> 31)) % jitter
 }
 
-impl<V: SpecStore> std::fmt::Debug for HomeShard<V> {
+impl<V: SpecStore> std::fmt::Debug for Machine<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HomeShard")
-            .field("id", &self.id)
-            .field("nodes", &(self.lo..self.hi))
+        f.debug_struct("Machine")
+            .field("nodes", &self.procs.len())
             .field("queued", &self.queue.len())
-            .field("pending_in", &self.pending_in.len())
-            .field("paused", &self.paused)
+            .field("done", &self.done_count)
+            .field("last_cycle", &self.last_cycle)
             .finish()
     }
 }

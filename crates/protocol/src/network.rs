@@ -4,7 +4,7 @@ use specdsm_sim::{Cycle, FifoResource};
 use specdsm_types::{LatencyConfig, NodeId};
 
 /// Constant-latency point-to-point network with per-node network
-/// interfaces, owned as a **node range** by one protocol shard.
+/// interfaces.
 ///
 /// The paper assumes "a point-to-point network with a constant latency
 /// of 80 cycles but models contention at the network interfaces".
@@ -14,9 +14,8 @@ use specdsm_types::{LatencyConfig, NodeId};
 /// cycles after its inbound NI slot starts; each NI serves one message
 /// every `ni_occupancy` cycles.
 ///
-/// A send decomposes into two halves, because in the sharded engine the
-/// two endpoints may live on different shards (and different worker
-/// threads):
+/// A send decomposes into two halves, because a faulted request may
+/// depart and then never arrive (or arrive late):
 ///
 /// * [`Network::depart`] — the *sender-side* half: counts the message,
 ///   acquires the source's outbound NI, and returns the cycle the
@@ -25,18 +24,14 @@ use specdsm_types::{LatencyConfig, NodeId};
 ///   destination's inbound NI at `at_dst` and returns the handoff
 ///   cycle.
 ///
-/// [`Network::send`] composes both for the case where one shard owns
-/// both endpoints (the sequential whole-machine shard); its timing is
-/// exactly the pre-shard monolithic network's.
+/// [`Network::send`] composes both for a reliable send.
 ///
 /// Messages between a node and itself (processor ↔ local directory)
-/// bypass the network entirely; the shard calls [`Network::note_local`]
-/// for accounting.
+/// bypass the network entirely; the machine calls
+/// [`Network::note_local`] for accounting.
 #[derive(Debug, Clone)]
 pub struct Network {
     lat: LatencyConfig,
-    /// First owned node.
-    lo: usize,
     ni_out: Vec<FifoResource>,
     ni_in: Vec<FifoResource>,
     messages: u64,
@@ -44,21 +39,13 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network range covering nodes `0..nodes` (the
-    /// whole-machine form used by the sequential engine and tests).
+    /// Creates the network interfaces of nodes `0..nodes`.
     #[must_use]
     pub fn new(nodes: usize, lat: LatencyConfig) -> Self {
-        Self::with_range(0, nodes, lat)
-    }
-
-    /// Creates the network-interface slice for nodes `lo..hi`.
-    #[must_use]
-    pub fn with_range(lo: usize, hi: usize, lat: LatencyConfig) -> Self {
         Network {
             lat,
-            lo,
-            ni_out: (lo..hi).map(|_| FifoResource::new()).collect(),
-            ni_in: (lo..hi).map(|_| FifoResource::new()).collect(),
+            ni_out: (0..nodes).map(|_| FifoResource::new()).collect(),
+            ni_in: (0..nodes).map(|_| FifoResource::new()).collect(),
             messages: 0,
             local_messages: 0,
         }
@@ -70,11 +57,11 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is not in this range.
+    /// Panics if `src` is not a node of this network.
     #[inline]
     pub fn depart(&mut self, now: Cycle, src: NodeId) -> Cycle {
         self.messages += 1;
-        let out_done = self.ni_out[src.0 - self.lo].acquire(now, self.lat.ni_occupancy);
+        let out_done = self.ni_out[src.0].acquire(now, self.lat.ni_occupancy);
         let out_start = Cycle(out_done.raw() - self.lat.ni_occupancy);
         out_start + self.lat.inject + self.lat.net_hop
     }
@@ -85,17 +72,17 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is not in this range.
+    /// Panics if `dst` is not a node of this network.
     #[inline]
     pub fn arrive(&mut self, at_dst: Cycle, dst: NodeId) -> Cycle {
-        let in_done = self.ni_in[dst.0 - self.lo].acquire(at_dst, self.lat.ni_occupancy);
+        let in_done = self.ni_in[dst.0].acquire(at_dst, self.lat.ni_occupancy);
         let in_start = Cycle(in_done.raw() - self.lat.ni_occupancy);
         in_start + self.lat.deliver
     }
 
     /// Sends a message at `now`; returns its delivery time at `dst`.
-    /// Both endpoints must be owned by this range. Uncontended remote
-    /// delivery takes exactly [`LatencyConfig::one_way`] cycles.
+    /// Uncontended remote delivery takes exactly
+    /// [`LatencyConfig::one_way`] cycles.
     pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId) -> Cycle {
         if src == dst {
             self.note_local();
@@ -111,7 +98,7 @@ impl Network {
         self.local_messages += 1;
     }
 
-    /// Remote messages sent from this range so far.
+    /// Remote messages sent so far.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
         self.messages
@@ -123,8 +110,8 @@ impl Network {
         self.local_messages
     }
 
-    /// Total cycles messages waited for this range's NI slots (a
-    /// contention measure).
+    /// Total cycles messages waited for NI slots (a contention
+    /// measure).
     #[must_use]
     pub fn ni_wait_cycles(&self) -> u64 {
         self.ni_out
@@ -194,24 +181,20 @@ mod tests {
 
     #[test]
     fn split_halves_compose_to_send() {
-        // One network does whole sends; a pair of ranges does the same
-        // traffic as depart/arrive halves. All timing must agree.
+        // One network does whole sends, another the same traffic as
+        // depart/arrive halves. All timing must agree.
         let lat = LatencyConfig::default();
         let mut whole = Network::new(4, lat);
-        let mut left = Network::with_range(0, 2, lat);
-        let mut right = Network::with_range(2, 4, lat);
+        let mut split = Network::new(4, lat);
         for i in 0..8u64 {
-            let now = Cycle(10 * i);
+            let now = Cycle(i);
             let direct = whole.send(now, NodeId(1), NodeId(3));
-            let at_dst = left.depart(now, NodeId(1));
-            let split = right.arrive(at_dst, NodeId(3));
-            assert_eq!(direct, split, "message {i}");
+            let at_dst = split.depart(now, NodeId(1));
+            assert_eq!(direct, split.arrive(at_dst, NodeId(3)), "message {i}");
         }
-        assert_eq!(whole.messages_sent(), left.messages_sent());
-        assert_eq!(
-            whole.ni_wait_cycles(),
-            left.ni_wait_cycles() + right.ni_wait_cycles()
-        );
+        assert_eq!(whole.messages_sent(), split.messages_sent());
+        assert_eq!(whole.ni_wait_cycles(), split.ni_wait_cycles());
+        assert!(whole.ni_wait_cycles() > 0, "the burst contends");
     }
 
     #[test]

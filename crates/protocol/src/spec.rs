@@ -79,22 +79,6 @@ pub struct SpecStats {
     pub swi_inval_premature: u64,
 }
 
-impl std::ops::AddAssign for SpecStats {
-    /// Field-wise accumulation; used to merge per-shard counters into
-    /// whole-run statistics (every field is a sum, so the merge is
-    /// order-independent).
-    fn add_assign(&mut self, rhs: SpecStats) {
-        self.fr_sent += rhs.fr_sent;
-        self.swi_sent += rhs.swi_sent;
-        self.fr_unused += rhs.fr_unused;
-        self.swi_unused += rhs.swi_unused;
-        self.verified += rhs.verified;
-        self.dropped += rhs.dropped;
-        self.swi_inval_sent += rhs.swi_inval_sent;
-        self.swi_inval_premature += rhs.swi_inval_premature;
-    }
-}
-
 impl SpecStats {
     /// Total speculative copies sent.
     #[must_use]
@@ -126,8 +110,9 @@ impl SpecStats {
 /// latter. [`SpecStore::resolve`] is the only place a backend may
 /// grow state for an unseen block.
 ///
-/// Stores are `Send` (they are plain owned data) so the windowed
-/// engine can move each home's store onto a worker thread.
+/// Stores are `Send` (they are plain owned data), so a whole system
+/// can be moved to another thread, e.g. to run independent
+/// simulations side by side.
 pub trait SpecStore: Send {
     /// Builds the store for a machine (history `depth`, one processor
     /// per node, the machine's home geometry).

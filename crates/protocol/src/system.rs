@@ -1,67 +1,29 @@
-//! The whole-machine engine: shard composition, execution strategies,
-//! and global synchronization.
+//! The whole-machine simulator: configuration, construction, the run,
+//! and the end-of-run checks and statistics.
 //!
-//! All protocol logic and node-local state live in
-//! [`HomeShard`](crate::shard::HomeShard) (see `shard.rs`); this module
-//! assembles shards into a machine and drives them under one of two
-//! strategies selected by [`SystemConfig::engine`]:
-//!
-//! * [`EngineConfig::Sequential`] — one shard spanning every node, one
-//!   event loop, messages delivered inline. This is the pre-shard
-//!   monolithic engine, bit for bit: same event order, same
-//!   network-interface serialization, same statistics.
-//! * [`EngineConfig::Windowed`] — one shard **per home node**, executed
-//!   in conservative bounded-lag windows whose lookahead is the minimum
-//!   cross-node message latency ([`LatencyConfig::one_way`]): a message
-//!   sent inside a window cannot be delivered inside it, so shards
-//!   process windows independently and exchange mailboxes at window
-//!   barriers, merged in deterministic `(cycle, source, sequence)` key
-//!   order. The schedule is a pure function of the simulated machine —
-//!   running the same configuration with 1, 2, or 4 worker threads
-//!   yields **bit-identical** statistics.
-//!
-//! Synchronization (the barrier and lock managers) is global state the
-//! shards cannot touch: a shard yields sync operations and the engine
-//! arbitrates them in deterministic `(cycle, processor)` order at
-//! window barriers (inline in sequential mode), answering with
-//! [`Directive`]s. See `docs/ARCHITECTURE.md` for the full design,
-//! including when the windowed engine's tie-breaking can deviate from
-//! the sequential engine's.
+//! All protocol logic and simulation state live in the machine (see
+//! `machine.rs`), which runs one event loop over one
+//! [`EventQueue`](specdsm_sim::EventQueue) and resolves
+//! synchronization inline. This module validates a [`SystemConfig`],
+//! builds the machine for a workload, runs it to quiescence, checks
+//! that every processor finished and that the caches agree with the
+//! directories, and folds the machine's counters into [`RunStats`].
+//! A run either completes or stops with an [`EngineError`] — a
+//! workload deadlock or an exceeded `max_cycles` guard. See
+//! `docs/ARCHITECTURE.md` for the full design.
 
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 
 use specdsm_core::Vmsp;
-use specdsm_sim::Cycle;
 use specdsm_types::{ConfigError, FaultPlan, MachineConfig, ProcId, Workload};
 
 use crate::directory::DirState;
+use crate::machine::Machine;
 use crate::processor::{Blocked, Processor};
-use crate::shard::{Directive, HomeShard, InFlight, ShardId, SyncKind, SyncOp};
 use crate::spec::{SpecEngine, SpecPolicy, SpecStore};
 use crate::stats::RunStats;
-use crate::sync::{BarrierManager, LockManager};
-
-/// Execution strategy of the protocol engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineConfig {
-    /// A single shard spanning all nodes, run to completion on the
-    /// calling thread. Exactly reproduces the historical monolithic
-    /// engine. The default.
-    #[default]
-    Sequential,
-    /// Per-home shards under the bounded-lag window scheduler.
-    /// `threads <= 1` runs the rounds on the calling thread; larger
-    /// values distribute shards over that many workers (output is
-    /// identical either way).
-    Windowed {
-        /// Worker threads (clamped to the shard count; 0 means 1).
-        threads: usize,
-    },
-}
 
 /// Configuration of one simulated system run.
 #[derive(Debug, Clone)]
@@ -81,11 +43,10 @@ pub struct SystemConfig {
     /// evict LRU and capacity misses reappear (the "inflated traffic"
     /// the paper's methodology deliberately excludes).
     pub cache_blocks: Option<usize>,
-    /// Optional safety limit; the run panics if simulated time exceeds
-    /// it (guards against workload deadlocks in development).
+    /// Optional safety limit: the run stops with
+    /// [`EngineError::CycleLimit`] at the first event past it (guards
+    /// against runaway workloads in development).
     pub max_cycles: Option<u64>,
-    /// Execution strategy (sequential single-shard by default).
-    pub engine: EngineConfig,
     /// Optional deterministic fault-injection plan for remote request
     /// messages (drop / duplicate / extra delay), with requester-side
     /// timeout-and-retry recovery. `None` — or any plan whose
@@ -109,7 +70,6 @@ impl Default for SystemConfig {
             record_trace: false,
             cache_blocks: None,
             max_cycles: None,
-            engine: EngineConfig::Sequential,
             faults: None,
             audit: false,
         }
@@ -151,59 +111,60 @@ impl From<ConfigError> for BuildError {
     }
 }
 
-/// Fatal failure inside the windowed engine, surfaced structurally by
-/// [`GenericSystem::try_run`] instead of unwinding through the worker
-/// pool.
+/// A run that could not complete, returned by
+/// [`GenericSystem::try_run`].
 ///
-/// A shard panics when it hits a protocol assertion, a coherence-audit
-/// violation, an exhausted retry budget, or the `max_cycles` guard; the
-/// windowed drivers catch the unwind at the window boundary and report
-/// *which* shard failed in *which* window. For diagnosis, re-run the
-/// same configuration under [`EngineConfig::Sequential`] — the failure
-/// replays in a single-threaded event loop where the full panic
-/// backtrace points directly at the offending event.
+/// Both variants are properties of the workload and configuration, not
+/// of the protocol: a run that stops here left the machine in a
+/// consistent state. Protocol bugs — an exhausted retry budget, a
+/// coherence-audit violation, an end-of-run coherence failure — still
+/// panic, with a backtrace at the offending event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// A shard's window execution panicked.
-    WorkerPanic {
-        /// The shard that failed (== its home node id in windowed mode).
-        shard: usize,
-        /// Floor cycle of the window being executed when it failed.
-        window_floor: u64,
-        /// The panic message, verbatim.
-        message: String,
+    /// All activity drained while processors were still blocked, e.g.
+    /// on mismatched barrier or lock usage.
+    Deadlock {
+        /// Cycle of the last event processed.
+        cycle: u64,
+        /// The processors that never finished, each with the state it
+        /// is stuck in.
+        stuck: Vec<String>,
+        /// Processors in the machine.
+        procs: usize,
+    },
+    /// An event was due past the configured
+    /// [`SystemConfig::max_cycles`].
+    CycleLimit {
+        /// The configured limit.
+        limit: u64,
+        /// Cycle of the first event past it (not processed).
+        cycle: u64,
     },
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::WorkerPanic {
-                shard,
-                window_floor,
-                message,
+            EngineError::Deadlock {
+                cycle,
+                stuck,
+                procs,
             } => write!(
                 f,
-                "shard {shard} failed in the window at cycle {window_floor}: {message}"
+                "deadlock at cycle {cycle}: {} of {procs} processors never finished: {}",
+                stuck.len(),
+                stuck.join("; ")
+            ),
+            EngineError::CycleLimit { limit, cycle } => write!(
+                f,
+                "simulation exceeded max_cycles = {limit} (next event at cycle {cycle})"
             ),
         }
     }
 }
 
 impl Error for EngineError {}
-
-/// Best-effort extraction of a panic payload's message (panics carry
-/// `String` or `&'static str` in practice).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
-}
 
 /// A complete simulated DSM: processors, caches, directories, network,
 /// synchronization, and (optionally) the speculation engine.
@@ -217,111 +178,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Build one with [`System::new`] and consume it with [`System::run`].
 pub struct GenericSystem<V: SpecStore = Vmsp> {
     cfg: SystemConfig,
-    shards: Vec<HomeShard<V>>,
-    barrier: BarrierManager,
-    locks: LockManager,
+    machine: Machine<V>,
     workload_name: String,
 }
 
 /// The default speculative DSM: [`GenericSystem`] over the arena-backed
 /// [`Vmsp`] speculation store.
 pub type System = GenericSystem<Vmsp>;
-
-/// What one shard publishes at a window barrier.
-#[derive(Debug, Clone, Default)]
-struct ShardReport {
-    /// Earliest queued event.
-    queue: Option<Cycle>,
-    /// Lower bound on the earliest undelivered arrival.
-    arrivals: Option<Cycle>,
-    /// The parked sync operation, if any.
-    op: Option<SyncOp>,
-    /// Whether an owned processor is blocked on synchronization.
-    sync_blocked: bool,
-}
-
-/// One round's marching orders for one shard.
-#[derive(Debug, Default)]
-struct ShardPlan {
-    /// Sync-resolution effects to apply, in order.
-    directives: Vec<Directive>,
-    /// Processors whose parked ops were arbitrated; clear those pauses.
-    resolved: Vec<ProcId>,
-}
-
-/// One window round, as computed by the deterministic planner.
-#[derive(Debug)]
-struct Plan {
-    /// Global floor: no event anywhere precedes this cycle.
-    floor: Cycle,
-    /// Exclusive horizon for shards with a sync-blocked processor: one
-    /// past the earliest cycle at which *any* sync operation could
-    /// still fire (held ops, ops discoverable by running shards, ops
-    /// reachable through resumes granted this round) — a later
-    /// arbitration may schedule a blocked shard's resume there, and
-    /// the shard must not have run past the insertion point. `None`
-    /// when no sync source remains (no release can ever happen).
-    sync_guard: Option<Cycle>,
-    per_shard: Vec<ShardPlan>,
-}
-
-fn opt_min(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => Some(x.min(y)),
-    }
-}
-
-/// Applies one sync operation to the global managers, emitting the
-/// resulting directives in exactly the order the sequential engine
-/// performs the equivalent state changes and schedules.
-fn resolve_sync(
-    barrier: &mut BarrierManager,
-    locks: &mut LockManager,
-    op: SyncOp,
-    out: &mut Vec<Directive>,
-) {
-    match op.kind {
-        SyncKind::Barrier => match barrier.arrive(op.proc) {
-            Some(released) => {
-                for w in released {
-                    out.push(Directive::Release { proc: w, at: op.at });
-                }
-            }
-            None => out.push(Directive::Block {
-                proc: op.proc,
-                at: op.at,
-                lock: false,
-            }),
-        },
-        SyncKind::Lock(l) => {
-            if locks.acquire(l, op.proc) {
-                out.push(Directive::ResumeSelf {
-                    proc: op.proc,
-                    at: op.at,
-                });
-            } else {
-                out.push(Directive::Block {
-                    proc: op.proc,
-                    at: op.at,
-                    lock: true,
-                });
-            }
-        }
-        SyncKind::Unlock(l) => {
-            if let Some(next) = locks.release(l, op.proc) {
-                out.push(Directive::Release {
-                    proc: next,
-                    at: op.at,
-                });
-            }
-            out.push(Directive::ResumeSelf {
-                proc: op.proc,
-                at: op.at,
-            });
-        }
-    }
-}
 
 impl<V: SpecStore> GenericSystem<V> {
     /// Builds a system running `workload` under `cfg`.
@@ -337,7 +200,7 @@ impl<V: SpecStore> GenericSystem<V> {
         }
         // Normalize an all-zero plan to "no plan": the fault path is
         // never entered, so such configs stay bit-identical to the
-        // reliable engine (no timeout events, no dedup bookkeeping).
+        // reliable network (no timeout events, no dedup bookkeeping).
         let faults: Option<Arc<FaultPlan>> = cfg
             .faults
             .as_ref()
@@ -358,7 +221,7 @@ impl<V: SpecStore> GenericSystem<V> {
             streams.len(),
             n
         );
-        let mut procs: Vec<Processor> = streams
+        let procs: Vec<Processor> = streams
             .into_iter()
             .enumerate()
             .map(|(i, s)| {
@@ -369,32 +232,17 @@ impl<V: SpecStore> GenericSystem<V> {
                 proc
             })
             .collect();
-        // One shard per home node in windowed mode (shard id == node
-        // id), one spanning every node sequentially.
-        let ranges: Vec<(usize, usize)> = match cfg.engine {
-            EngineConfig::Windowed { .. } => (0..n).map(|i| (i, i + 1)).collect(),
-            EngineConfig::Sequential => vec![(0, n)],
-        };
-        let mut shards = Vec::with_capacity(ranges.len());
-        for (id, (lo, hi)) in ranges.into_iter().enumerate() {
-            let owned: Vec<Processor> = procs.drain(..hi - lo).collect();
-            shards.push(HomeShard::new(
-                id as ShardId,
-                lo,
-                hi,
-                owned,
-                &cfg.machine,
-                SpecEngine::new(cfg.policy, cfg.predictor_depth, &cfg.machine),
-                cfg.record_trace,
-                cfg.max_cycles,
-                faults.clone(),
-                cfg.audit,
-            ));
-        }
+        let machine = Machine::new(
+            procs,
+            &cfg.machine,
+            SpecEngine::new(cfg.policy, cfg.predictor_depth, &cfg.machine),
+            cfg.record_trace,
+            cfg.max_cycles,
+            faults,
+            cfg.audit,
+        );
         Ok(GenericSystem {
-            shards,
-            barrier: BarrierManager::new(n),
-            locks: LockManager::new(),
+            machine,
             workload_name: workload.name().to_string(),
             cfg,
         })
@@ -404,422 +252,38 @@ impl<V: SpecStore> GenericSystem<V> {
     ///
     /// # Panics
     ///
-    /// Panics if the workload deadlocks (all activity drains while
-    /// processors are still blocked — e.g. mismatched barrier or lock
-    /// usage), if `max_cycles` is exceeded, or on any
-    /// [`EngineError`] a windowed run surfaces (the error's message —
-    /// naming the failing shard and window — becomes the panic
-    /// message).
+    /// Panics with the error's message on any [`EngineError`] (a
+    /// deadlock, or `max_cycles` exceeded), and on the protocol-bug
+    /// panics [`GenericSystem::try_run`] documents.
     pub fn run(self) -> RunStats {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation to completion, surfacing windowed-engine
-    /// failures as structured [`EngineError`]s instead of panics.
-    ///
-    /// A shard panic during windowed execution (protocol assertion,
-    /// coherence-audit violation, retry-budget exhaustion, `max_cycles`)
-    /// is caught at the window boundary and returned as
-    /// [`EngineError::WorkerPanic`] naming the shard and window floor.
-    /// Sequential runs are not wrapped: they panic in the caller's
-    /// thread with a full backtrace, which is exactly what you want
-    /// when replaying a windowed failure for diagnosis.
+    /// Runs the simulation to completion, returning a deadlock or an
+    /// exceeded cycle limit as an [`EngineError`] value.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if a windowed shard fails.
+    /// Returns [`EngineError::Deadlock`] if the event queue drains
+    /// while processors are still blocked, and
+    /// [`EngineError::CycleLimit`] if an event falls past
+    /// [`SystemConfig::max_cycles`].
     ///
     /// # Panics
     ///
-    /// Panics if the workload deadlocks, or on sequential-engine
-    /// failures (see above).
+    /// Panics on protocol bugs: an exhausted request retry budget, a
+    /// coherence-audit violation, or an end-of-run coherence failure.
     pub fn try_run(mut self) -> Result<RunStats, EngineError> {
-        for shard in &mut self.shards {
-            shard.seed();
-        }
-        match self.cfg.engine {
-            EngineConfig::Sequential => self.run_sequential(),
-            EngineConfig::Windowed { threads } => {
-                let workers = threads.clamp(1, self.shards.len());
-                if workers <= 1 {
-                    self.run_windowed_serial()?;
-                } else {
-                    self.run_windowed_parallel(workers)?;
-                }
-            }
-        }
-        self.check_quiescent();
+        self.machine.seed();
+        self.machine.run()?;
+        self.check_quiescent()?;
         self.check_coherence();
         Ok(self.into_stats())
     }
 
     // ------------------------------------------------------------------
-    // Sequential driver
-    // ------------------------------------------------------------------
-
-    /// Drives the single whole-machine shard to exhaustion, resolving
-    /// sync operations inline — at the exact event position the
-    /// monolithic engine resolved them.
-    fn run_sequential(&mut self) {
-        let shard = &mut self.shards[0];
-        let mut directives = Vec::new();
-        loop {
-            match shard.run_until(Cycle(u64::MAX)) {
-                crate::shard::ShardYield::Idle => break,
-                crate::shard::ShardYield::Sync => {
-                    let op = shard.paused.take().expect("yielded sync op");
-                    directives.clear();
-                    resolve_sync(&mut self.barrier, &mut self.locks, op, &mut directives);
-                    for d in directives.drain(..) {
-                        shard.apply(d);
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Windowed drivers
-    // ------------------------------------------------------------------
-
-    /// The window lookahead: the minimum latency of any cross-node
-    /// message, so nothing sent inside a window can arrive inside it.
-    fn lookahead(&self) -> u64 {
-        let l = self.cfg.machine.latency.one_way();
-        debug_assert!(l >= 1, "validated configs have a non-zero network hop");
-        l.max(1)
-    }
-
-    fn report(shard: &HomeShard<V>) -> ShardReport {
-        ShardReport {
-            queue: shard.queue.peek_cycle(),
-            arrivals: shard.arrivals_bound(),
-            op: shard.paused,
-            sync_blocked: shard.has_sync_blocked(),
-        }
-    }
-
-    /// The deterministic round planner: arbitrates parked sync
-    /// operations in `(cycle, processor)` order (holding any that a
-    /// still-running shard could yet pre-empt), computes the next
-    /// global floor, and packages per-shard directives. Pure function
-    /// of published shard state — thread count never enters.
-    /// Delegates to [`plan_round_impl`], which the parallel driver
-    /// calls directly.
-    ///
-    /// Returns `None` when no activity remains anywhere: the run is
-    /// complete.
-    fn plan_round(&mut self, reports: &[ShardReport], staged_bound: Option<Cycle>) -> Option<Plan> {
-        plan_round_impl(
-            &mut self.barrier,
-            &mut self.locks,
-            self.shards.len(),
-            reports,
-            staged_bound,
-        )
-    }
-
-    /// One shard's share of a window round: apply sync resolutions,
-    /// merge incoming mail, deliver everything now safe to deliver, and
-    /// process the window. The caller routes `shard.outbox` afterwards.
-    /// `incoming` is drained in place (its capacity is reused across
-    /// rounds — the round loop runs tens of thousands of times).
-    fn shard_round(
-        shard: &mut HomeShard<V>,
-        plan: &mut ShardPlan,
-        incoming: &mut Vec<InFlight>,
-        floor: Cycle,
-        sync_guard: Option<Cycle>,
-        lookahead: u64,
-    ) {
-        for p in plan.resolved.drain(..) {
-            shard.unpark(p);
-        }
-        for d in plan.directives.drain(..) {
-            shard.apply(d);
-        }
-        if !incoming.is_empty() {
-            incoming.sort_unstable_by_key(|m| m.key);
-            let all_eligible = shard.pending_in.is_empty()
-                && incoming.last().expect("non-empty").key.sched < floor.raw();
-            if all_eligible {
-                shard.deliver_batch(incoming.drain(..));
-            } else {
-                shard.receive(incoming.drain(..));
-            }
-        }
-        shard.drain_arrivals(floor);
-        // A parked shard stops dead until its op resolves.
-        if shard.paused.is_none() {
-            let window_end = floor + lookahead;
-            let horizon = if shard.has_sync_blocked() {
-                // The shard's resume may be scheduled at `sync_guard`
-                // or later by a future arbitration; it must not have
-                // processed past the insertion point by then.
-                sync_guard.map_or(window_end, |g| g.min(window_end))
-            } else {
-                window_end
-            };
-            shard.run_until(horizon);
-        }
-    }
-
-    /// Windowed execution on the calling thread (the `threads <= 1`
-    /// form — and the reference the parallel form must match).
-    fn run_windowed_serial(&mut self) -> Result<(), EngineError> {
-        let lookahead = self.lookahead();
-        let n = self.shards.len();
-        let one_way = self.cfg.machine.latency.one_way();
-        // Double-buffered mail staging, per destination shard: `staging`
-        // is delivered this round, `next_staging` collects this round's
-        // sends (a shard later in the loop must not see mail staged by
-        // an earlier one — the parallel driver wouldn't).
-        let mut staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next_staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(n);
-        loop {
-            reports.clear();
-            reports.extend(self.shards.iter().map(Self::report));
-            // Same lower bound as `arrivals_bound`: earliest scheduling
-            // action plus the minimum cross-node latency.
-            let staged_bound = staging
-                .iter()
-                .flatten()
-                .map(|m| Cycle(m.key.sched) + one_way)
-                .min();
-            let Some(mut plan) = self.plan_round(&reports, staged_bound) else {
-                break;
-            };
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                catch_unwind(AssertUnwindSafe(|| {
-                    Self::shard_round(
-                        shard,
-                        &mut plan.per_shard[i],
-                        &mut staging[i],
-                        plan.floor,
-                        plan.sync_guard,
-                        lookahead,
-                    );
-                }))
-                .map_err(|payload| EngineError::WorkerPanic {
-                    shard: i,
-                    window_floor: plan.floor.raw(),
-                    message: panic_message(payload),
-                })?;
-                for (dst, m) in shard.outbox.drain(..) {
-                    next_staging[dst as usize].push(m);
-                }
-            }
-            std::mem::swap(&mut staging, &mut next_staging);
-        }
-        Ok(())
-    }
-
-    /// Windowed execution over `workers` threads: shards are statically
-    /// partitioned; the calling thread plans rounds between barriers.
-    /// Every decision is made by the same [`GenericSystem::plan_round`]
-    /// as the serial form, from the same published state — the output
-    /// is bit-identical for any worker count.
-    fn run_windowed_parallel(&mut self, workers: usize) -> Result<(), EngineError> {
-        let lookahead = self.lookahead();
-        let n = self.shards.len();
-        let one_way = self.cfg.machine.latency.one_way();
-
-        struct Board {
-            barrier: Barrier,
-            done: AtomicBool,
-            /// Per-shard round plans + floor/sync-guard, set by the leader.
-            round: Mutex<(Vec<ShardPlan>, Cycle, Option<Cycle>)>,
-            /// Mail to deliver this round, per destination shard.
-            staging_in: Vec<Mutex<Vec<InFlight>>>,
-            /// Mail sent during this round, per destination shard.
-            staging_out: Vec<Mutex<Vec<InFlight>>>,
-            /// Per-shard reports published at round end.
-            reports: Vec<Mutex<ShardReport>>,
-            /// First shard failure of the round, if any. Workers catch
-            /// their shards' panics and keep participating in the
-            /// barriers (a raw unwind would deadlock everyone else);
-            /// the leader checks this after each round-end barrier.
-            /// Lowest shard id wins, so the reported error does not
-            /// depend on worker scheduling.
-            failed: Mutex<Option<EngineError>>,
-        }
-
-        let board = Board {
-            barrier: Barrier::new(workers + 1),
-            done: AtomicBool::new(false),
-            round: Mutex::new((Vec::new(), Cycle::ZERO, None)),
-            staging_in: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            staging_out: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            failed: Mutex::new(None),
-            reports: (0..n).map(|_| Mutex::new(ShardReport::default())).collect(),
-        };
-        for (i, shard) in self.shards.iter().enumerate() {
-            *board.reports[i].lock().unwrap() = Self::report(shard);
-        }
-
-        let parts = scoped_pool::balanced_partition(n, workers);
-        let mut chunks: Vec<&mut [HomeShard<V>]> = Vec::with_capacity(parts.len());
-        let mut rest: &mut [HomeShard<V>] = &mut self.shards;
-        for &(lo, hi) in &parts {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            chunks.push(chunk);
-            rest = tail;
-        }
-
-        // The planner mutates the global sync managers while the shards
-        // are borrowed by the workers; park the managers in a mutex the
-        // leader closure owns for the scope.
-        let barrier_mgr = Mutex::new((
-            std::mem::replace(&mut self.barrier, BarrierManager::new(1)),
-            std::mem::take(&mut self.locks),
-        ));
-        let plan_len = n;
-        let (_, outcome) = scoped_pool::run_with_leader(
-            &mut chunks,
-            |_idx, chunk| {
-                loop {
-                    board.barrier.wait();
-                    if board.done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Read this round's orders.
-                    let (floor, sync_guard, my_plans): (
-                        Cycle,
-                        Option<Cycle>,
-                        Vec<(usize, ShardPlan)>,
-                    ) = {
-                        let mut round = board.round.lock().unwrap();
-                        let (plans, floor, guard) = &mut *round;
-                        let mine = chunk
-                            .iter()
-                            .map(|s| {
-                                let id = s.id as usize;
-                                (id, std::mem::take(&mut plans[id]))
-                            })
-                            .collect();
-                        (*floor, *guard, mine)
-                    };
-                    for (shard, (_, mut plan)) in chunk.iter_mut().zip(my_plans) {
-                        let sid = shard.id as usize;
-                        let mut incoming =
-                            std::mem::take(&mut *board.staging_in[sid].lock().unwrap());
-                        let round = catch_unwind(AssertUnwindSafe(|| {
-                            Self::shard_round(
-                                shard,
-                                &mut plan,
-                                &mut incoming,
-                                floor,
-                                sync_guard,
-                                lookahead,
-                            );
-                        }));
-                        match round {
-                            Ok(()) => {
-                                for (dst, m) in shard.outbox.drain(..) {
-                                    board.staging_out[dst as usize].lock().unwrap().push(m);
-                                }
-                                *board.reports[sid].lock().unwrap() = Self::report(shard);
-                            }
-                            Err(payload) => {
-                                let mut failed = board.failed.lock().unwrap();
-                                let replace = match failed.as_ref() {
-                                    None => true,
-                                    Some(EngineError::WorkerPanic { shard: s, .. }) => sid < *s,
-                                };
-                                if replace {
-                                    *failed = Some(EngineError::WorkerPanic {
-                                        shard: sid,
-                                        window_floor: floor.raw(),
-                                        message: panic_message(payload),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    board.barrier.wait();
-                }
-            },
-            || -> Result<(), EngineError> {
-                loop {
-                    // A failed round means the shards' states are no
-                    // longer trustworthy: stop before planning another.
-                    // (The round-end barrier orders the workers' writes
-                    // to `failed` before this read.)
-                    if let Some(err) = board.failed.lock().unwrap().take() {
-                        board.done.store(true, Ordering::SeqCst);
-                        board.barrier.wait();
-                        return Err(err);
-                    }
-                    // Plan the next round from the published state.
-                    let reports: Vec<ShardReport> = (0..plan_len)
-                        .map(|i| board.reports[i].lock().unwrap().clone())
-                        .collect();
-                    let staged_bound = board
-                        .staging_in
-                        .iter()
-                        .filter_map(|m| {
-                            m.lock()
-                                .unwrap()
-                                .iter()
-                                .map(|x| Cycle(x.key.sched) + one_way)
-                                .min()
-                        })
-                        .min();
-                    let plan = {
-                        let mut mgrs = barrier_mgr.lock().unwrap();
-                        let (bar, locks) = &mut *mgrs;
-                        plan_round_impl(bar, locks, plan_len, &reports, staged_bound)
-                    };
-                    match plan {
-                        None => {
-                            board.done.store(true, Ordering::SeqCst);
-                            board.barrier.wait();
-                            break Ok(());
-                        }
-                        Some(plan) => {
-                            *board.round.lock().unwrap() =
-                                (plan.per_shard, plan.floor, plan.sync_guard);
-                            board.barrier.wait(); // release workers
-                            board.barrier.wait(); // wait for round end
-                                                  // Swap staged mail into next round's inbox.
-                            for i in 0..plan_len {
-                                let mut out = board.staging_out[i].lock().unwrap();
-                                let mut inn = board.staging_in[i].lock().unwrap();
-                                debug_assert!(inn.is_empty());
-                                std::mem::swap(&mut *out, &mut *inn);
-                            }
-                        }
-                    }
-                }
-            },
-        );
-
-        let (bar, locks) = barrier_mgr.into_inner().unwrap();
-        self.barrier = bar;
-        self.locks = locks;
-        outcome
-    }
-
-    // ------------------------------------------------------------------
     // End-of-run checks and statistics
     // ------------------------------------------------------------------
-
-    fn num_procs(&self) -> usize {
-        self.shards.iter().map(|s| s.procs.len()).sum()
-    }
-
-    fn done_count(&self) -> usize {
-        self.shards.iter().map(|s| s.done_count).sum()
-    }
-
-    fn last_cycle(&self) -> Cycle {
-        self.shards
-            .iter()
-            .map(|s| s.last_cycle)
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
 
     /// Asserts the end-of-run coherence invariants: no in-flight
     /// transactions, directory state consistent with every cache
@@ -831,74 +295,72 @@ impl<V: SpecStore> GenericSystem<V> {
     /// Panics on any violation — these are protocol bugs, not workload
     /// errors.
     fn check_coherence(&self) {
-        let procs: Vec<&Processor> = self.shards.iter().flat_map(|s| s.procs.iter()).collect();
-        for shard in &self.shards {
-            for dir in &shard.dirs {
-                dir.check_invariants();
-                for (block, state, version) in dir.iter() {
-                    assert!(
-                        !dir.is_busy(block),
-                        "{block}: transaction still in flight at quiescence"
-                    );
-                    match state {
-                        DirState::Idle => {
-                            for proc in &procs {
+        let m = &self.machine;
+        for dir in &m.dirs {
+            dir.check_invariants();
+            for (block, state, version) in dir.iter() {
+                assert!(
+                    !dir.is_busy(block),
+                    "{block}: transaction still in flight at quiescence"
+                );
+                match state {
+                    DirState::Idle => {
+                        for proc in &m.procs {
+                            assert_eq!(
+                                proc.cache().state(block),
+                                None,
+                                "{block} is Idle but {} holds a copy",
+                                proc.id()
+                            );
+                        }
+                    }
+                    DirState::Shared(readers) => {
+                        for proc in &m.procs {
+                            let cached = proc.cache().state(block);
+                            if m.sets.contains(readers, proc.id()) {
+                                // In finite-cache mode a listed sharer
+                                // may have silently evicted its copy;
+                                // the directory is allowed to be stale.
+                                if self.cfg.cache_blocks.is_none() || cached.is_some() {
+                                    assert!(
+                                        matches!(cached, Some(crate::LineState::Shared { .. })),
+                                        "{block}: sharer {} holds {cached:?}",
+                                        proc.id()
+                                    );
+                                    assert_eq!(
+                                        proc.cache().version(block),
+                                        Some(version),
+                                        "{block}: stale copy at {}",
+                                        proc.id()
+                                    );
+                                }
+                            } else {
                                 assert_eq!(
-                                    proc.cache().state(block),
+                                    cached,
                                     None,
-                                    "{block} is Idle but {} holds a copy",
+                                    "{block}: non-sharer {} holds a copy",
                                     proc.id()
                                 );
                             }
                         }
-                        DirState::Shared(readers) => {
-                            for proc in &procs {
-                                let cached = proc.cache().state(block);
-                                if shard.sets.contains(readers, proc.id()) {
-                                    // In finite-cache mode a listed sharer
-                                    // may have silently evicted its copy;
-                                    // the directory is allowed to be stale.
-                                    if self.cfg.cache_blocks.is_none() || cached.is_some() {
-                                        assert!(
-                                            matches!(cached, Some(crate::LineState::Shared { .. })),
-                                            "{block}: sharer {} holds {cached:?}",
-                                            proc.id()
-                                        );
-                                        assert_eq!(
-                                            proc.cache().version(block),
-                                            Some(version),
-                                            "{block}: stale copy at {}",
-                                            proc.id()
-                                        );
-                                    }
-                                } else {
-                                    assert_eq!(
-                                        cached,
-                                        None,
-                                        "{block}: non-sharer {} holds a copy",
-                                        proc.id()
-                                    );
-                                }
-                            }
-                        }
-                        DirState::Exclusive(owner) => {
-                            for proc in &procs {
-                                let cached = proc.cache().state(block);
-                                if proc.id() == owner {
-                                    assert_eq!(
-                                        cached,
-                                        Some(crate::LineState::Exclusive),
-                                        "{block}: owner {} lost its copy",
-                                        owner
-                                    );
-                                } else {
-                                    assert_eq!(
-                                        cached,
-                                        None,
-                                        "{block}: {} holds a copy besides the owner",
-                                        proc.id()
-                                    );
-                                }
+                    }
+                    DirState::Exclusive(owner) => {
+                        for proc in &m.procs {
+                            let cached = proc.cache().state(block);
+                            if proc.id() == owner {
+                                assert_eq!(
+                                    cached,
+                                    Some(crate::LineState::Exclusive),
+                                    "{block}: owner {} lost its copy",
+                                    owner
+                                );
+                            } else {
+                                assert_eq!(
+                                    cached,
+                                    None,
+                                    "{block}: {} holds a copy besides the owner",
+                                    proc.id()
+                                );
                             }
                         }
                     }
@@ -907,159 +369,66 @@ impl<V: SpecStore> GenericSystem<V> {
         }
     }
 
-    fn check_quiescent(&self) {
-        if self.done_count() == self.num_procs() {
-            return;
+    /// Checks that every processor finished.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Deadlock`] naming the stuck processors.
+    fn check_quiescent(&self) -> Result<(), EngineError> {
+        let m = &self.machine;
+        if m.done_count == m.procs.len() {
+            return Ok(());
         }
-        let stuck: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.procs.iter())
-            .filter(|p| p.blocked != Blocked::Done)
-            .map(|p| format!("{}: {:?}", p.id(), p.blocked))
-            .collect();
-        panic!(
-            "deadlock at {}: {} of {} processors never finished: {}",
-            self.last_cycle(),
-            stuck.len(),
-            self.num_procs(),
-            stuck.join("; ")
-        );
+        Err(EngineError::Deadlock {
+            cycle: m.last_cycle.raw(),
+            stuck: m
+                .procs
+                .iter()
+                .filter(|p| p.blocked != Blocked::Done)
+                .map(|p| format!("{}: {:?}", p.id(), p.blocked))
+                .collect(),
+            procs: m.procs.len(),
+        })
     }
 
     fn into_stats(self) -> RunStats {
         let cfg = self.cfg;
-        let mut per_proc = Vec::with_capacity(self.shards.iter().map(|s| s.procs.len()).sum());
-        let mut sim_events = 0;
-        let mut remote_messages = 0;
-        let mut ni_wait_cycles = 0;
-        let mut mem_wait_cycles = 0;
-        let mut mem_busy_cycles = 0;
-        let mut dir_reads = 0;
-        let mut dir_writes = 0;
-        let mut dir_upgrades = 0;
-        let mut spec = crate::spec::SpecStats::default();
-        let mut faults = crate::stats::FaultStats::default();
-        let mut predictor = cfg
-            .policy
-            .uses_predictor()
-            .then(specdsm_core::PredictorStats::default);
-        let mut trace = cfg.record_trace.then(specdsm_core::DirectoryTrace::new);
-        for shard in self.shards {
-            per_proc.extend(shard.procs.iter().map(|p| p.stats));
-            sim_events += shard.queue.scheduled_total();
-            remote_messages += shard.net.messages_sent();
-            ni_wait_cycles += shard.net.ni_wait_cycles();
-            mem_wait_cycles += shard
-                .mems
-                .iter()
-                .map(specdsm_sim::FifoResource::wait_cycles)
-                .sum::<u64>();
-            mem_busy_cycles += shard
-                .mems
-                .iter()
-                .map(specdsm_sim::FifoResource::busy_cycles)
-                .sum::<u64>();
-            dir_reads += shard.dir_reads;
-            dir_writes += shard.dir_writes;
-            dir_upgrades += shard.dir_upgrades;
-            spec += shard.spec.stats;
-            faults += shard.fstats;
-            if let Some(total) = &mut predictor {
-                *total += shard.spec.vmsp.predictor_stats();
-            }
-            if let (Some(total), Some(t)) = (&mut trace, shard.trace) {
-                total.merge(t);
-            }
-        }
+        let m = self.machine;
+        let per_proc: Vec<_> = m.procs.iter().map(|p| p.stats).collect();
         let exec_cycles = per_proc.iter().map(|p| p.finished_at).max().unwrap_or(0);
         RunStats {
             workload: self.workload_name,
             policy: cfg.policy,
             exec_cycles,
-            sim_events,
+            sim_events: m.queue.scheduled_total(),
             per_proc,
-            remote_messages,
-            ni_wait_cycles,
-            mem_wait_cycles,
-            mem_busy_cycles,
-            dir_reads,
-            dir_writes,
-            dir_upgrades,
-            spec,
-            faults,
-            predictor,
-            trace,
+            remote_messages: m.net.messages_sent(),
+            ni_wait_cycles: m.net.ni_wait_cycles(),
+            mem_wait_cycles: m
+                .mems
+                .iter()
+                .map(specdsm_sim::FifoResource::wait_cycles)
+                .sum(),
+            mem_busy_cycles: m
+                .mems
+                .iter()
+                .map(specdsm_sim::FifoResource::busy_cycles)
+                .sum(),
+            dir_reads: m.dir_reads,
+            dir_writes: m.dir_writes,
+            dir_upgrades: m.dir_upgrades,
+            spec: m.spec.stats,
+            faults: m.fstats,
+            predictor: cfg
+                .policy
+                .uses_predictor()
+                .then(|| m.spec.vmsp.predictor_stats()),
+            trace: m.trace.map(|mut trace| {
+                trace.compact();
+                trace
+            }),
         }
     }
-}
-
-/// Free-function form of the round planner for the parallel driver
-/// (which cannot hold `&mut self` while workers borrow the shards).
-/// Must stay behaviorally identical to
-/// [`GenericSystem::plan_round`] — it is the same code path: the
-/// method delegates here.
-fn plan_round_impl(
-    barrier: &mut BarrierManager,
-    locks: &mut LockManager,
-    num_shards: usize,
-    reports: &[ShardReport],
-    staged_bound: Option<Cycle>,
-) -> Option<Plan> {
-    let mut ops: Vec<SyncOp> = reports.iter().filter_map(|r| r.op).collect();
-    ops.sort_unstable_by_key(|o| (o.at, o.proc.0));
-
-    let mut arb_base: Option<Cycle> = staged_bound;
-    for r in reports {
-        // A parked shard is frozen and cannot discover earlier ops, so
-        // only unparked, unblocked shards hold the arbitration back.
-        if r.op.is_none() && !r.sync_blocked {
-            arb_base = opt_min(arb_base, opt_min(r.queue, r.arrivals));
-        }
-    }
-
-    let mut per_shard: Vec<ShardPlan> = (0..num_shards).map(|_| ShardPlan::default()).collect();
-    // Processor `i` lives on node `i`, which is shard `i`.
-    let shard_of = |p: ProcId| -> usize {
-        debug_assert!(p.0 < num_shards, "proc id == node id == shard id");
-        p.0
-    };
-    let mut staged_directives = Vec::new();
-    let mut resume_floor: Option<Cycle> = None;
-    let mut held: Option<Cycle> = None;
-    for op in ops {
-        let bound = opt_min(arb_base, resume_floor);
-        let applicable = bound.is_none_or(|b| op.at < b);
-        if applicable {
-            staged_directives.clear();
-            resolve_sync(barrier, locks, op, &mut staged_directives);
-            for d in staged_directives.drain(..) {
-                per_shard[shard_of(d.proc())].directives.push(d);
-            }
-            per_shard[shard_of(op.proc)].resolved.push(op.proc);
-            resume_floor = opt_min(resume_floor, Some(op.at + 1));
-        } else {
-            held = opt_min(held, Some(op.at));
-        }
-    }
-
-    // Earliest cycle any sync operation can still fire: a held op, a
-    // new op discovered by a runnable shard (≥ `arb_base`), or an op
-    // reached through a resume granted this round (≥ `resume_floor`).
-    // Monotone across rounds, so "blocked shards never run past
-    // `sync_guard`" stays valid for releases at *any* later barrier.
-    let sync_guard = opt_min(opt_min(arb_base, resume_floor), held).map(|c| c + 1);
-
-    let mut floor = opt_min(staged_bound, resume_floor);
-    floor = opt_min(floor, held.map(|c| c + 1));
-    for r in reports {
-        floor = opt_min(floor, opt_min(r.queue, r.arrivals));
-    }
-    floor.map(|floor| Plan {
-        floor,
-        sync_guard,
-        per_shard,
-    })
 }
 
 impl<V: SpecStore> fmt::Debug for GenericSystem<V> {
@@ -1067,9 +436,7 @@ impl<V: SpecStore> fmt::Debug for GenericSystem<V> {
         f.debug_struct("System")
             .field("workload", &self.workload_name)
             .field("policy", &self.cfg.policy)
-            .field("engine", &self.cfg.engine)
-            .field("shards", &self.shards.len())
-            .field("done", &self.done_count())
+            .field("machine", &self.machine)
             .finish()
     }
 }
@@ -1104,16 +471,10 @@ mod tests {
         MachineConfig::with_nodes(n)
     }
 
-    fn run_script_on(
-        n: usize,
-        policy: SpecPolicy,
-        engine: EngineConfig,
-        ops: Vec<Vec<Op>>,
-    ) -> RunStats {
+    fn run_script(n: usize, policy: SpecPolicy, ops: Vec<Vec<Op>>) -> RunStats {
         let cfg = SystemConfig {
             machine: machine(n),
             policy,
-            engine,
             max_cycles: Some(50_000_000),
             ..SystemConfig::default()
         };
@@ -1126,10 +487,6 @@ mod tests {
         )
         .expect("valid system")
         .run()
-    }
-
-    fn run_script(n: usize, policy: SpecPolicy, ops: Vec<Vec<Op>>) -> RunStats {
-        run_script_on(n, policy, EngineConfig::Sequential, ops)
     }
 
     /// Block homed on node `h` (first page of that home).
@@ -1283,14 +640,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
-    fn mismatched_barriers_deadlock_windowed() {
-        let _ = run_script_on(
-            2,
-            SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 1 },
-            vec![vec![Op::Barrier], vec![]],
-        );
+    fn deadlock_is_returned_as_a_value() {
+        let cfg = SystemConfig {
+            machine: machine(2),
+            ..SystemConfig::default()
+        };
+        let script = Script {
+            name: "stuck",
+            ops: vec![vec![Op::Barrier], vec![]],
+        };
+        let err = System::new(cfg, &script).unwrap().try_run().unwrap_err();
+        let EngineError::Deadlock {
+            ref stuck, procs, ..
+        } = err
+        else {
+            panic!("expected a deadlock, got {err:?}");
+        };
+        assert_eq!(procs, 2);
+        assert_eq!(stuck.len(), 1, "only P0 waits at the barrier: {stuck:?}");
+        assert!(stuck[0].contains("Barrier"), "{stuck:?}");
+        assert!(err.to_string().contains("deadlock"), "{err}");
+    }
+
+    #[test]
+    fn cycle_limit_is_returned_as_a_value() {
+        // A remote read cannot complete within 10 cycles: the read's
+        // reply is the first event past the limit.
+        let cfg = SystemConfig {
+            machine: machine(4),
+            max_cycles: Some(10),
+            ..SystemConfig::default()
+        };
+        let script = Script {
+            name: "tiny",
+            ops: vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]],
+        };
+        let err = System::new(cfg, &script).unwrap().try_run().unwrap_err();
+        let EngineError::CycleLimit { limit, cycle } = err else {
+            panic!("expected a cycle limit, got {err:?}");
+        };
+        assert_eq!(limit, 10);
+        assert!(cycle > limit, "{cycle}");
+        assert!(err.to_string().contains("max_cycles"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "max_cycles")]
+    fn run_panics_past_max_cycles() {
+        let cfg = SystemConfig {
+            machine: machine(4),
+            max_cycles: Some(10),
+            ..SystemConfig::default()
+        };
+        let _ = System::new(
+            cfg,
+            &Script {
+                name: "tiny",
+                ops: vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]],
+            },
+        )
+        .unwrap()
+        .run();
     }
 
     #[test]
@@ -1416,7 +826,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Windowed (sharded) engine
+    // Fault injection and audit
     // ------------------------------------------------------------------
 
     fn assert_same_model_output(a: &RunStats, b: &RunStats, ctx: &str) {
@@ -1461,83 +871,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn windowed_matches_sequential_on_mixed_script() {
-        for policy in SpecPolicy::ALL {
-            let seq = run_script_on(4, policy, EngineConfig::Sequential, mixed_script(4));
-            let win = run_script_on(
-                4,
-                policy,
-                EngineConfig::Windowed { threads: 1 },
-                mixed_script(4),
-            );
-            assert_same_model_output(&seq, &win, &format!("{policy}"));
-        }
-    }
-
-    #[test]
-    fn windowed_thread_count_is_unobservable() {
-        for threads in [2, 3, 8] {
-            let one = run_script_on(
-                8,
-                SpecPolicy::SwiFr,
-                EngineConfig::Windowed { threads: 1 },
-                mixed_script(8),
-            );
-            let many = run_script_on(
-                8,
-                SpecPolicy::SwiFr,
-                EngineConfig::Windowed { threads },
-                mixed_script(8),
-            );
-            assert_same_model_output(&one, &many, &format!("{threads} threads"));
-        }
-    }
-
-    #[test]
-    fn windowed_matches_sequential_remote_read_latency() {
-        let b = homed(0);
-        let stats = run_script_on(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 2 },
-            vec![vec![], vec![Op::Read(b)], vec![], vec![]],
-        );
-        assert_eq!(stats.per_proc[1].mem_wait, 418);
-    }
-
-    #[test]
-    fn windowed_lock_fairness_matches_sequential() {
-        // All four processors contend on one lock at staggered times;
-        // grant order (and therefore total sync wait) must match the
-        // sequential engine exactly.
-        let b = homed(2);
-        let ops: Vec<Vec<Op>> = (0..4)
-            .map(|p| {
-                vec![
-                    Op::Compute(50 * (4 - p as u64)),
-                    Op::Lock(LockId(3)),
-                    Op::Read(b),
-                    Op::Write(b),
-                    Op::Unlock(LockId(3)),
-                    Op::Barrier,
-                ]
-            })
-            .collect();
-        let seq = run_script_on(4, SpecPolicy::Base, EngineConfig::Sequential, ops.clone());
-        let win = run_script_on(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 4 },
-            ops,
-        );
-        assert_same_model_output(&seq, &win, "lock contention");
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection, audit, and engine degradation
-    // ------------------------------------------------------------------
-
     use crate::stats::FaultStats;
 
     /// A plan aggressive enough that a few dozen remote requests are
@@ -1557,7 +890,6 @@ mod tests {
     fn run_faulty(
         n: usize,
         policy: SpecPolicy,
-        engine: EngineConfig,
         faults: Option<FaultPlan>,
         audit: bool,
         ops: Vec<Vec<Op>>,
@@ -1565,7 +897,6 @@ mod tests {
         let cfg = SystemConfig {
             machine: machine(n),
             policy,
-            engine,
             max_cycles: Some(50_000_000),
             faults,
             audit,
@@ -1587,7 +918,6 @@ mod tests {
         let s = run_faulty(
             4,
             SpecPolicy::Base,
-            EngineConfig::Sequential,
             Some(heavy_plan(0xFEED)),
             true,
             mixed_script(4),
@@ -1602,35 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_thread_count_is_unobservable() {
-        for policy in SpecPolicy::ALL {
-            let plan = heavy_plan(0xFEED);
-            let one = run_faulty(
-                4,
-                policy,
-                EngineConfig::Windowed { threads: 1 },
-                Some(plan.clone()),
-                true,
-                mixed_script(4),
-            );
-            assert!(one.faults.drops > 0, "{policy}: {:?}", one.faults);
-            assert!(one.faults.retries > 0, "{policy}: {:?}", one.faults);
-            for threads in [2, 4] {
-                let many = run_faulty(
-                    4,
-                    policy,
-                    EngineConfig::Windowed { threads },
-                    Some(plan.clone()),
-                    true,
-                    mixed_script(4),
-                );
-                assert_same_model_output(&one, &many, &format!("{policy}/{threads} faulty"));
-                assert_eq!(one.faults, many.faults, "{policy}/{threads}: fault stats");
-            }
-        }
-    }
-
-    #[test]
     fn duplicates_are_suppressed_at_the_home() {
         // Duplication only, no drops: every duplicate that arrives must
         // be swallowed by the watermark, and nothing needs retrying
@@ -1639,14 +940,7 @@ mod tests {
             dup_rate: 0.5,
             ..FaultPlan::new(99)
         };
-        let s = run_faulty(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Sequential,
-            Some(plan),
-            true,
-            mixed_script(4),
-        );
+        let s = run_faulty(4, SpecPolicy::Base, Some(plan), true, mixed_script(4));
         assert!(s.faults.duplicates > 0);
         assert_eq!(s.faults.dup_suppressed, s.faults.duplicates);
         assert_eq!(s.faults.drops, 0);
@@ -1654,97 +948,15 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_and_audit_are_inert() {
-        for engine in [
-            EngineConfig::Sequential,
-            EngineConfig::Windowed { threads: 2 },
-        ] {
-            let base = run_script_on(4, SpecPolicy::SwiFr, engine, mixed_script(4));
-            let z = run_faulty(
-                4,
-                SpecPolicy::SwiFr,
-                engine,
-                Some(FaultPlan::new(3)),
-                true,
-                mixed_script(4),
-            );
-            assert_same_model_output(&base, &z, &format!("{engine:?} zero-rate"));
-            assert_eq!(z.faults, FaultStats::default());
-        }
-    }
-
-    #[test]
-    fn windowed_failure_surfaces_as_engine_error() {
-        // A remote read cannot complete within 10 cycles, so the shard
-        // delivering past the limit trips the max_cycles guard — which
-        // the windowed drivers must catch and name, not unwind.
-        let ops = vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]];
-        let mut errs = Vec::new();
-        for threads in [1, 2] {
-            let cfg = SystemConfig {
-                machine: machine(4),
-                max_cycles: Some(10),
-                engine: EngineConfig::Windowed { threads },
-                ..SystemConfig::default()
-            };
-            let sys = System::new(
-                cfg,
-                &Script {
-                    name: "tiny",
-                    ops: ops.clone(),
-                },
-            )
-            .unwrap();
-            let err = sys.try_run().unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("max_cycles"), "inner message kept: {msg}");
-            assert!(msg.contains("shard"), "failing shard named: {msg}");
-            errs.push(err);
-        }
-        assert_eq!(
-            errs[0], errs[1],
-            "structured error is thread-count independent"
+        let base = run_script(4, SpecPolicy::SwiFr, mixed_script(4));
+        let z = run_faulty(
+            4,
+            SpecPolicy::SwiFr,
+            Some(FaultPlan::new(3)),
+            true,
+            mixed_script(4),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "max_cycles")]
-    fn run_panics_on_windowed_failure() {
-        let cfg = SystemConfig {
-            machine: machine(4),
-            max_cycles: Some(10),
-            engine: EngineConfig::Windowed { threads: 2 },
-            ..SystemConfig::default()
-        };
-        let _ = System::new(
-            cfg,
-            &Script {
-                name: "tiny",
-                ops: vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]],
-            },
-        )
-        .unwrap()
-        .run();
-    }
-
-    #[test]
-    fn windowed_trace_merges_across_shards() {
-        let b = homed(0);
-        let cfg = SystemConfig {
-            machine: machine(2),
-            record_trace: true,
-            engine: EngineConfig::Windowed { threads: 2 },
-            ..SystemConfig::default()
-        };
-        let script = Script {
-            name: "trace",
-            ops: vec![
-                vec![Op::Write(b), Op::Barrier],
-                vec![Op::Barrier, Op::Read(b)],
-            ],
-        };
-        let stats = System::new(cfg, &script).unwrap().run();
-        let trace = stats.trace.expect("trace recorded");
-        assert_eq!(trace.num_blocks(), 1);
-        assert_eq!(trace.total_requests(), 2);
+        assert_same_model_output(&base, &z, "zero-rate");
+        assert_eq!(z.faults, FaultStats::default());
     }
 }

@@ -8,10 +8,8 @@
 //! * a [`Cycle`] time axis,
 //! * an [`EventQueue`] — a calendar queue (bucketed timing wheel with
 //!   an overflow heap) with strict FIFO ordering among same-cycle
-//!   events, so runs are reproducible bit-for-bit,
-//! * a [`KeyedQueue`] — the same calendar structure with an *explicit*
-//!   per-event [`SchedKey`] tie-break, the deterministic backbone of
-//!   the sharded (optionally parallel) protocol engine,
+//!   events, so runs are reproducible bit-for-bit; the protocol
+//!   simulator's one event loop runs on it,
 //! * [`FifoResource`] for occupancy-based contention modeling (memory
 //!   banks, network interfaces),
 //! * a tiny, stable [`Xorshift64Star`] PRNG used to generate the timing
@@ -39,14 +37,12 @@
 #![forbid(unsafe_code)]
 
 mod clock;
-mod keyed;
 mod queue;
 mod resource;
 mod rng;
 mod stats;
 
 pub use clock::Cycle;
-pub use keyed::{KeyedQueue, SchedKey};
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use rng::Xorshift64Star;

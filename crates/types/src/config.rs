@@ -156,13 +156,6 @@ impl MachineConfig {
         if self.page_blocks == 0 {
             return Err(ConfigError::ZeroPageSize);
         }
-        if self.latency.one_way() == 0 {
-            // Checked before ZeroLatency: the windowed engine's
-            // bounded-lag lookahead *is* one_way(), so a zero here
-            // would collapse every window to zero lag even if
-            // mem_access were fine.
-            return Err(ConfigError::ZeroLookahead);
-        }
         if self.latency.mem_access == 0 || self.latency.net_hop == 0 {
             return Err(ConfigError::ZeroLatency);
         }
@@ -326,20 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_zero_lookahead() {
+    fn validation_rejects_zero_one_way_latency() {
         // net_hop contributes to one_way(), so one_way() == 0 forces
-        // net_hop == 0 as well; the lookahead check must fire first so
-        // the error names the real problem, not the generic latency.
+        // net_hop == 0 and the plain latency check names it.
         let mut m = MachineConfig::paper_machine();
         m.latency.inject = 0;
         m.latency.net_hop = 0;
         m.latency.deliver = 0;
-        assert_eq!(m.validate(), Err(ConfigError::ZeroLookahead));
-        let msg = ConfigError::ZeroLookahead.to_string();
-        assert!(msg.contains("lookahead"), "{msg}");
+        assert_eq!(m.latency.one_way(), 0);
+        assert_eq!(m.validate(), Err(ConfigError::ZeroLatency));
+        let msg = ConfigError::ZeroLatency.to_string();
+        assert!(msg.contains("latencies"), "{msg}");
         assert!(!msg.ends_with('.'));
-        // A nonzero one_way() with zero net_hop still trips the
-        // plain latency check.
+        // A nonzero one_way() with zero net_hop trips the same check.
         let mut m = MachineConfig::paper_machine();
         m.latency.net_hop = 0;
         assert_eq!(m.validate(), Err(ConfigError::ZeroLatency));

@@ -20,9 +20,6 @@ pub enum ConfigError {
     ZeroPageSize,
     /// A critical latency parameter is zero.
     ZeroLatency,
-    /// The one-way network latency is zero, which would collapse the
-    /// windowed engine's bounded-lag lookahead to nothing.
-    ZeroLookahead,
     /// A [`crate::FaultPlan`] violates its structural invariants.
     BadFaultPlan {
         /// What is wrong with the plan.
@@ -43,12 +40,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroPageSize => write!(f, "page size must be at least one block"),
             ConfigError::ZeroLatency => {
                 write!(f, "memory and network latencies must be non-zero")
-            }
-            ConfigError::ZeroLookahead => {
-                write!(
-                    f,
-                    "one-way network latency must be non-zero (it is the windowed engine's lookahead)"
-                )
             }
             ConfigError::BadFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")

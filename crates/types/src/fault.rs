@@ -6,9 +6,8 @@
 //! plan itself holds **no mutable state**: every decision is a pure
 //! function of `(seed, src, dst, request sequence, attempt)` — the same
 //! SplitMix64 absorption the workload [`Jitter`] source uses — so
-//! Base-, FR-, and SWI-DSM runs, and windowed runs at any worker-thread
-//! count, see the identical fault schedule. That statelessness is what
-//! keeps the shard differential tests meaningful under faults.
+//! Base-, FR-, and SWI-DSM runs see the identical fault schedule for
+//! the same requests, and reruns reproduce it bit for bit.
 //!
 //! Only the three *request* messages (read, write, upgrade) are ever
 //! faulted. Replies, invalidations, and acknowledgements ride the
@@ -58,7 +57,7 @@ impl FaultDecision {
 /// let plan = FaultPlan::light(42);
 /// plan.validate().expect("built-in plans are valid");
 /// // Decisions are a pure function of the coordinates: same inputs,
-/// // same fault, on every engine and at every thread count.
+/// // same fault, whatever order the simulator draws them in.
 /// let a = plan.decide(3, 7, 19, 0, 12_345);
 /// assert_eq!(a, plan.decide(3, 7, 19, 0, 12_345));
 /// // A retry (attempt 1) of the same request redraws its fate.
@@ -187,8 +186,8 @@ impl FaultPlan {
     /// Pure function of its arguments and the plan — no internal state,
     /// no dependence on evaluation order. `now` enters only the burst
     /// gate, never the random draws, so a plan without burst windows
-    /// gives engine-independent schedules even where the two engines
-    /// time the same send differently.
+    /// gives the same request its same fate even when a protocol
+    /// change moves the cycle it is sent at.
     #[must_use]
     pub fn decide(
         &self,

@@ -19,8 +19,8 @@
 //! the same sets in the same order produce the same ids. The dedup
 //! index is a digest → candidate-id map that is only ever *probed*
 //! (never iterated), so its internal ordering cannot leak into model
-//! outputs. Sharded engines give each shard its own interner, keeping
-//! the arena single-writer and the shard state `Send`.
+//! outputs. Each simulated machine owns its own interner, keeping the
+//! arena single-writer and the machine state `Send`.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -131,7 +131,7 @@ impl Default for SetId {
 /// Arena ids are only meaningful with the interner that minted them;
 /// resolving a foreign arena id panics (index out of bounds) or
 /// returns the wrong set. Components therefore own their interner
-/// (per predictor, per shard) and never exchange raw arena ids.
+/// (per predictor, per machine) and never exchange raw arena ids.
 #[derive(Debug, Clone, Default)]
 pub struct ReaderSetInterner {
     /// Arena of canonical **spilled** sets, indexed by `SetId::id`.

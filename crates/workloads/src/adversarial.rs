@@ -1,13 +1,13 @@
-//! Adversarial conflict generators for the sharded protocol engine.
+//! Adversarial conflict generators for the protocol simulator.
 //!
 //! The application suite is *polite*: its sharing phases are
 //! barrier-separated. These three generators are built to be rude —
-//! long barrier-free bursts of cross-shard coherence traffic whose
-//! reply and forward chains land in every window, maximizing same-cycle
-//! mailbox merges and NI contention. The differential suite runs them
-//! under the sequential engine and the windowed engine at several
-//! thread counts, and demands bit-identical statistics across thread
-//! counts.
+//! long barrier-free bursts of cross-node coherence traffic whose
+//! reply and forward chains overlap, maximizing same-cycle arrivals,
+//! directory queueing and NI contention. The differential suite
+//! (`tests/vmsp_differential.rs`) runs them under FR and SWI with the
+//! arena speculation store and the map reference, and demands
+//! bit-identical statistics.
 
 use std::sync::Arc;
 
@@ -23,9 +23,9 @@ use crate::stream::PhasedStream;
 /// end-of-iteration barrier.
 ///
 /// Ownership of each hot block ping-pongs across all nodes; every
-/// access is a request to home 0 whose reply or forward crosses a shard
-/// boundary, so home 0's inbound mailbox is merged from every other
-/// shard in nearly every window.
+/// access is a request to home 0 whose reply or forward crosses the
+/// network, so home 0's inbound NI serializes traffic from every other
+/// node.
 #[derive(Debug, Clone)]
 pub struct HotspotStorm {
     machine: MachineConfig,
@@ -107,9 +107,9 @@ impl Workload for HotspotStorm {
 /// node, alternating turns on a compute-timed cadence with **no**
 /// synchronization inside an iteration.
 ///
-/// Every turn handoff moves exclusive ownership across the pair's shard
-/// boundary (read → forward → invalidate → upgrade), so windows
-/// continuously carry cross-shard dependency chains in both
+/// Every turn handoff moves exclusive ownership across the pair's node
+/// boundary (read → forward → invalidate → upgrade), so the network
+/// continuously carries cross-node dependency chains in both
 /// directions.
 #[derive(Debug, Clone)]
 pub struct MigratoryPingPong {
@@ -196,8 +196,8 @@ impl Workload for MigratoryPingPong {
 /// write-write conflicts here hit every directory at once: each write
 /// is an upgrade-or-write-miss that invalidates whichever processor
 /// wrote the block last, so exclusive ownership of every line migrates
-/// continuously across *all* shard boundaries: every shard is
-/// simultaneously a home under attack and a writer being invalidated.
+/// continuously across *all* nodes: every node is simultaneously a
+/// home under attack and a writer being invalidated.
 #[derive(Debug, Clone)]
 pub struct FalseSharingStorm {
     machine: MachineConfig,
@@ -369,7 +369,7 @@ mod tests {
                 .collect()
         };
         // Pair members touch the same blocks; the odd member is remote
-        // to every one of them (its accesses all cross shards).
+        // to every one of them (its accesses all cross the network).
         let even = blocks(&streams[2]);
         let odd = blocks(&streams[3]);
         assert!(!even.is_empty());

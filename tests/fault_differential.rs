@@ -1,29 +1,24 @@
 //! Differential replay under deterministic fault injection.
 //!
-//! Three claims, mirroring `shard_differential.rs`:
+//! Two claims:
 //!
 //! 1. **Recovery is complete and audited.** With the suite-standard
 //!    fault plan active and the runtime coherence auditor armed, every
 //!    application finishes under Base, FR, and SWI — no auditor
 //!    violation, no deadlock, no retry-budget exhaustion — and the run
-//!    actually exercised the fault machinery (drops and retries are
-//!    nonzero over the suite).
+//!    actually exercised the fault machinery (drops, retries and
+//!    duplicate suppression are nonzero over the suite).
 //!
-//! 2. **Faults do not break determinism.** Fault decisions are pure
-//!    functions of `(seed, src, dst, seq, attempt)`, never of worker
-//!    scheduling: windowed runs at 2 and 4 threads must be bit-identical
-//!    to the 1-thread run, including every fault counter.
-//!
-//! 3. **A zero-rate plan is inert.** All-zero rates (plus the auditor)
+//! 2. **A zero-rate plan is inert.** All-zero rates (plus the auditor)
 //!    must be bit-for-bit indistinguishable from running with no plan at
-//!    all, on both the sequential and the windowed engine — the fault
-//!    path adds no events, no sequence-number effects, no timing.
+//!    all — the fault path adds no events, no sequence-number effects,
+//!    no timing.
 //!
 //! Scale: `Quick` by default so `cargo test` stays fast; CI re-runs
 //! this file in **release** mode with `SPECDSM_DIFF_SCALE=default`.
 
 use specdsm::prelude::*;
-use specdsm::protocol::{EngineConfig, SystemConfig};
+use specdsm::protocol::SystemConfig;
 
 fn scale() -> Scale {
     match std::env::var("SPECDSM_DIFF_SCALE").as_deref() {
@@ -36,14 +31,12 @@ fn scale() -> Scale {
 fn run_with(
     machine: &MachineConfig,
     policy: SpecPolicy,
-    engine: EngineConfig,
     faults: Option<FaultPlan>,
     w: &dyn Workload,
 ) -> RunStats {
     let cfg = SystemConfig {
         machine: machine.clone(),
         policy,
-        engine,
         faults,
         audit: true,
         max_cycles: Some(2_000_000_000),
@@ -81,11 +74,10 @@ fn assert_bit_identical(a: &RunStats, b: &RunStats, ctx: &str) {
     assert_eq!(a.per_proc, b.per_proc, "{ctx}: per-processor stats");
 }
 
-/// Claims 1 and 2: the audited, fault-injected suite completes under
-/// every policy, exercises recovery, and stays bit-identical across
-/// worker counts.
+/// Claim 1: the audited, fault-injected suite completes under every
+/// policy and exercises recovery.
 #[test]
-fn faulty_suite_recovers_and_is_bit_identical_across_threads() {
+fn faulty_sequential_suite_recovers() {
     let machine = MachineConfig::paper_machine();
     let scale = scale();
     let plan = fault_plan(0x1a1f);
@@ -93,25 +85,9 @@ fn faulty_suite_recovers_and_is_bit_identical_across_threads() {
     for app in AppId::ALL {
         let w = app.build(&machine, scale);
         for policy in SpecPolicy::ALL {
-            let one = run_with(
-                &machine,
-                policy,
-                EngineConfig::Windowed { threads: 1 },
-                Some(plan.clone()),
-                w.as_ref(),
-            );
-            assert!(one.exec_cycles > 0, "{app}/{policy}: ran");
-            total += one.faults;
-            for threads in [2usize, 4] {
-                let many = run_with(
-                    &machine,
-                    policy,
-                    EngineConfig::Windowed { threads },
-                    Some(plan.clone()),
-                    w.as_ref(),
-                );
-                assert_bit_identical(&one, &many, &format!("{app}/{policy}/threads={threads}"));
-            }
+            let s = run_with(&machine, policy, Some(plan.clone()), w.as_ref());
+            assert!(s.exec_cycles > 0, "{app}/{policy}: ran");
+            total += s.faults;
         }
     }
     // The plan is light, so individual apps may dodge losses at Quick
@@ -124,32 +100,8 @@ fn faulty_suite_recovers_and_is_bit_identical_across_threads() {
     );
 }
 
-/// Claim 1 on the sequential engine: recovery is not a windowed-only
-/// code path.
-#[test]
-fn faulty_sequential_suite_recovers() {
-    let machine = MachineConfig::paper_machine();
-    let plan = fault_plan(0x1a1f);
-    let mut total = FaultStats::default();
-    for app in [AppId::Em3d, AppId::Moldyn, AppId::Ocean] {
-        let w = app.build(&machine, scale());
-        for policy in SpecPolicy::ALL {
-            let s = run_with(
-                &machine,
-                policy,
-                EngineConfig::Sequential,
-                Some(plan.clone()),
-                w.as_ref(),
-            );
-            assert!(s.exec_cycles > 0, "{app}/{policy}: ran");
-            total += s.faults;
-        }
-    }
-    assert!(total.drops > 0 && total.retries > 0, "recovered: {total:?}");
-}
-
-/// Claim 3: a zero-rate plan (with the auditor armed) is bit-for-bit
-/// the reliable engine, sequentially and windowed.
+/// Claim 2: a zero-rate plan (with the auditor armed) is bit-for-bit
+/// the reliable network.
 #[test]
 fn zero_rate_plan_is_bit_identical_to_reliable_engine() {
     let machine = MachineConfig::paper_machine();
@@ -157,16 +109,11 @@ fn zero_rate_plan_is_bit_identical_to_reliable_engine() {
     for app in [AppId::Appbt, AppId::Em3d] {
         let w = app.build(&machine, Scale::Quick);
         for policy in SpecPolicy::ALL {
-            for engine in [
-                EngineConfig::Sequential,
-                EngineConfig::Windowed { threads: 2 },
-            ] {
-                let reliable = run_with(&machine, policy, engine, None, w.as_ref());
-                let zeroed = run_with(&machine, policy, engine, Some(zero.clone()), w.as_ref());
-                let ctx = format!("{app}/{policy}/{engine:?}");
-                assert_bit_identical(&reliable, &zeroed, &ctx);
-                assert_eq!(zeroed.faults, FaultStats::default(), "{ctx}: all zero");
-            }
+            let reliable = run_with(&machine, policy, None, w.as_ref());
+            let zeroed = run_with(&machine, policy, Some(zero.clone()), w.as_ref());
+            let ctx = format!("{app}/{policy}");
+            assert_bit_identical(&reliable, &zeroed, &ctx);
+            assert_eq!(zeroed.faults, FaultStats::default(), "{ctx}: all zero");
         }
     }
 }

@@ -359,41 +359,9 @@ fn wide_sharing_at_256_procs_spills_reader_sets_end_to_end() {
 }
 
 #[test]
-fn windowed_engine_runs_wide_sharing_at_256_procs() {
-    use specdsm::protocol::EngineConfig;
-    let machine = MachineConfig::with_nodes(256);
-    let w = specdsm::workloads::WideSharing::new(machine.clone(), 2, 3);
-    let run_with = |engine: EngineConfig| {
-        let cfg = SystemConfig {
-            machine: machine.clone(),
-            policy: SpecPolicy::SwiFr,
-            engine,
-            max_cycles: Some(500_000_000),
-            ..SystemConfig::default()
-        };
-        System::new(cfg, &w).expect("valid system").run()
-    };
-    let one = run_with(EngineConfig::Windowed { threads: 1 });
-    let four = run_with(EngineConfig::Windowed { threads: 4 });
-    // 256 shards, any thread count: bit-identical.
-    assert_eq!(one.exec_cycles, four.exec_cycles);
-    assert_eq!(one.sim_events, four.sim_events);
-    assert_eq!(one.remote_messages, four.remote_messages);
-    assert_eq!(one.ni_wait_cycles, four.ni_wait_cycles);
-    assert_eq!(one.spec, four.spec);
-    assert_eq!(one.per_proc, four.per_proc);
-    // And the program itself matches the sequential engine.
-    let seq = run_with(EngineConfig::Sequential);
-    for (s, w) in seq.per_proc.iter().zip(&one.per_proc) {
-        assert_eq!(s.reads, w.reads);
-        assert_eq!(s.writes, w.writes);
-    }
-}
-
-#[test]
 fn suite_runs_at_64_nodes_under_all_policies() {
     // A full application (em3d, quick inputs) at the former processor
-    // ceiling, under every policy, on both engines.
+    // ceiling, under every policy.
     let machine = MachineConfig::with_nodes(64);
     let w = AppId::Em3d.build(&machine, Scale::Quick);
     for policy in SpecPolicy::ALL {

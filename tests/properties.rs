@@ -256,42 +256,74 @@ proptest! {
 
     #[test]
     fn event_queue_matches_reference_heap_model(
-        ops in proptest::collection::vec((0u32..3, 0u64..6000), 1..400),
+        ops in proptest::collection::vec((0u32..7, 0u64..6000, 1usize..8), 1..400),
     ) {
         // The reference model is the seed implementation: a binary heap
         // ordered by (cycle, global sequence number). The calendar
         // queue must pop the exact same (cycle, id) sequence under
-        // arbitrary interleavings of schedules and pops — including
-        // times beyond the 2048-cycle wheel horizon (overflow heap)
-        // and times before an already-popped cycle.
+        // arbitrary interleavings of schedules and pops, in the shapes
+        // the protocol (and its fault injection) produces:
+        //
+        // * 0 — pop;
+        // * 1 — a schedule at an absolute time, often behind the cursor
+        //   or beyond the wheel window;
+        // * 2 — a timer relative to the last popped cycle, up to ~3
+        //   wheel spans out (retry timers past the 2048-cycle wheel);
+        // * 3 — a same-cycle burst of up to 7 events near the cursor
+        //   (a speculative fan-out, a barrier release);
+        // * 4 — a schedule behind the cursor after it advanced;
+        // * 5 — a near-future schedule (an ordinary message hop);
+        // * 6 — an event on the cycle of the latest timer, which may
+        //   sit in the overflow heap while this one lands on the wheel
+        //   (same-cycle order must then follow the schedule counter).
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
         let mut q = EventQueue::new();
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut timer = 0u64;
 
         // Plain assert: usable from a helper closure under both the
         // vendored and the real proptest (panics register as failures).
-        let check_pop = |q: &mut EventQueue<u64>, model: &mut BinaryHeap<Reverse<(u64, u64)>>| {
+        let check_pop = |q: &mut EventQueue<u64>,
+                         model: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                         now: &mut u64| {
             let got = q.pop();
             let want = model.pop().map(|Reverse((at, id))| (Cycle(at), id));
             assert_eq!(got, want, "pop diverged from the reference heap");
+            if let Some((at, _)) = got {
+                *now = at.raw();
+            }
         };
 
-        for &(kind, t) in &ops {
-            if kind == 0 {
-                check_pop(&mut q, &mut model);
-            } else {
-                prop_assert_eq!(q.peek_cycle(), model.peek().map(|Reverse((at, _))| Cycle(*at)));
-                q.schedule(Cycle(t), seq);
-                model.push(Reverse((t, seq)));
-                prop_assert_eq!(q.len(), model.len());
+        for &(kind, t, burst) in &ops {
+            let (at, count) = match kind {
+                0 => {
+                    check_pop(&mut q, &mut model, &mut now);
+                    continue;
+                }
+                1 => (t, 1),
+                2 => {
+                    timer = now + t;
+                    (timer, 1)
+                }
+                3 => (now + t % 300, burst),
+                4 => (now.saturating_sub(t % 500), 1),
+                6 => (timer, burst),
+                _ => (now + t % 160, 1),
+            };
+            prop_assert_eq!(q.peek_cycle(), model.peek().map(|Reverse((at, _))| Cycle(*at)));
+            for _ in 0..count {
+                q.schedule(Cycle(at), seq);
+                model.push(Reverse((at, seq)));
                 seq += 1;
             }
+            prop_assert_eq!(q.len(), model.len());
         }
         while !model.is_empty() {
-            check_pop(&mut q, &mut model);
+            check_pop(&mut q, &mut model, &mut now);
         }
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.scheduled_total(), seq);
@@ -769,101 +801,4 @@ fn mark_swi_premature_after_evict_is_a_noop_in_both_stores() {
     let map = scenario::<MapSpecStore>();
     assert_eq!(arena, map);
     assert!(arena.0, "no entry, so nothing is suppressed");
-}
-
-// ---------------------------------------------------------------------
-// KeyedQueue vs a sorted reference model, under fault-shaped schedules
-// ---------------------------------------------------------------------
-
-use specdsm::sim::{KeyedQueue, SchedKey};
-
-proptest! {
-    /// Drives a [`KeyedQueue`] with the access shape fault injection
-    /// produces — duplicated payloads under fresh keys, extra-delayed
-    /// arrivals, heavy `(sched, src)` key collisions, schedules in the
-    /// past after the cursor advanced — in phases separated by
-    /// `pop_before` drains at arbitrary horizons, and checks every
-    /// observation against a sorted-set reference model, including the
-    /// strictly-below semantics at the exact horizon boundary.
-    #[test]
-    fn keyed_queue_matches_model_under_fault_shaped_schedules(
-        phases in proptest::collection::vec(
-            (
-                proptest::collection::vec(
-                    // (cycle, key.sched, key.src, duplicate?, extra delay)
-                    (0u64..5000, 0u64..60, 0u32..4, any::<bool>(), 1u64..300),
-                    0..40,
-                ),
-                0u64..6000, // drain horizon for the phase
-            ),
-            1..6,
-        ),
-    ) {
-        let mut q: KeyedQueue<u64> = KeyedQueue::new();
-        // Reference model: the queue must pop exactly the first element
-        // of this set (ordered by `(cycle, key)`; keys are unique).
-        let mut model: std::collections::BTreeSet<(u64, (u64, u32, u64), u64)> =
-            std::collections::BTreeSet::new();
-        let mut seq = 0u64;
-        let mut payload = 0u64;
-        let mut scheduled = 0u64;
-        let pop_and_check = |q: &mut KeyedQueue<u64>,
-                                 model: &mut std::collections::BTreeSet<(u64, (u64, u32, u64), u64)>,
-                                 horizon: u64|
-         -> bool {
-            match q.pop_before(Cycle(horizon)) {
-                None => {
-                    // Boundary semantics: an event *at* the horizon must
-                    // not pop; anything strictly below must have.
-                    if let Some(first) = model.iter().next() {
-                        assert!(
-                            first.0 >= horizon,
-                            "queue withheld an event below the horizon: {first:?} < {horizon}"
-                        );
-                    }
-                    false
-                }
-                Some((at, got)) => {
-                    let expect = model
-                        .iter()
-                        .next()
-                        .copied()
-                        .expect("queue popped an event the model does not have");
-                    assert!(model.remove(&expect));
-                    assert_eq!((at.raw(), got), (expect.0, expect.2), "pop order");
-                    assert!(at.raw() < horizon, "pop_before ignored the horizon");
-                    true
-                }
-            }
-        };
-        for (entries, horizon) in phases {
-            for (at, sched, src, dup, extra) in entries {
-                q.schedule(Cycle(at), SchedKey { sched, src, seq }, payload);
-                model.insert((at, (sched, src, seq), payload));
-                seq += 1;
-                scheduled += 1;
-                if dup {
-                    // A network duplicate: same payload, delayed, under
-                    // a fresh key — exactly what `transmit` emits.
-                    q.schedule(Cycle(at + extra), SchedKey { sched, src, seq }, payload);
-                    model.insert((at + extra, (sched, src, seq), payload));
-                    seq += 1;
-                    scheduled += 1;
-                }
-                payload += 1;
-            }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(
-                q.peek_cycle().map(Cycle::raw),
-                model.iter().next().map(|e| e.0)
-            );
-            while pop_and_check(&mut q, &mut model, horizon) {}
-            prop_assert_eq!(q.len(), model.len());
-        }
-        // Final full drain: everything left pops in model order.
-        while pop_and_check(&mut q, &mut model, u64::MAX) {}
-        prop_assert!(model.is_empty(), "events left in the model: {:?}", model);
-        prop_assert!(q.is_empty());
-        prop_assert_eq!(q.scheduled_total(), scheduled);
-    }
 }
