@@ -10,13 +10,14 @@
 //! ```
 //!
 //! Every argument is checked before any experiment runs: a bad name or
-//! option exits with status 2 and no output.
+//! option, or an `--out` directory that cannot be created, exits with
+//! status 2 and no output.
 //!
 //! Output goes to stdout and, with `--out`, one text file per
-//! experiment in DIR.
+//! experiment in DIR. A file that cannot be written exits with status 1.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use specdsm_bench::{fig6, fig7, fig8, fig9, table3, table4, table5, Lab, Scale, TextTable};
 use specdsm_protocol::SpecPolicy;
@@ -113,7 +114,10 @@ fn main() {
         return;
     }
     if let Some(dir) = &args.out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
+        if let Err(e) = create_out_dir(dir) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
 
     let mut lab = Lab::new(args.scale);
@@ -133,9 +137,24 @@ fn main() {
         };
         println!("{text}");
         if let Some(dir) = &args.out_dir {
-            std::fs::write(dir.join(format!("{exp}.txt")), &text).expect("write experiment output");
+            let path = dir.join(format!("{exp}.txt"));
+            if let Err(e) = std::fs::write(&path, &text) {
+                eprintln!("repro: cannot write '{}': {e}", path.display());
+                std::process::exit(1);
+            }
         }
     }
+}
+
+/// Creates the `--out` directory, or returns the one-line message
+/// `main` prints before it exits.
+fn create_out_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| {
+        format!(
+            "repro: cannot create output directory '{}': {e}",
+            dir.display()
+        )
+    })
 }
 
 fn pct(x: f64) -> String {
@@ -576,5 +595,20 @@ mod tests {
         let args = parse(&["table3", "--scale", "quick", "--out", "dir"]).unwrap();
         assert_eq!(args.scale, Scale::Quick);
         assert_eq!(args.out_dir, Some(PathBuf::from("dir")));
+    }
+
+    #[test]
+    fn out_dir_under_a_regular_file_is_an_error() {
+        let file = std::env::temp_dir().join(format!("repro-out-test-{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let dir = file.join("x");
+        let err = create_out_dir(&dir).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        let expected = format!(
+            "repro: cannot create output directory '{}': ",
+            dir.display()
+        );
+        assert!(err.starts_with(&expected), "{err}");
+        assert_eq!(err.lines().count(), 1);
     }
 }

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use specdsm_core::{
     Observation, PredictorStats, SpecTicket, SpecTrigger, StorageReport, SwiTable, VSlot, Vmsp,
 };
 use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet};
 
 /// Which speculation mechanisms the DSM runs (paper §7.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecPolicy {
     /// Base-DSM: no prediction, no speculation.
     Base,
@@ -56,7 +54,7 @@ impl fmt::Display for SpecPolicy {
 }
 
 /// Speculation activity counters (the raw material of Table 5).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecStats {
     /// Speculative read-only copies sent by the FR trigger.
     pub fr_sent: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use specdsm_core::{DirectoryTrace, PredictorStats};
 
 use crate::spec::{SpecPolicy, SpecStats};
@@ -15,7 +13,7 @@ use crate::spec::{SpecPolicy, SpecStats};
 /// and lock waiting — counted as computation in the paper's Figure 9
 /// breakdown), or `mem_wait` (blocked on a memory request — the paper's
 /// "remote request waiting time").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Cycles spent computing (including cache hit latencies).
     pub compute_cycles: u64,
@@ -62,7 +60,7 @@ impl ProcStats {
 /// Fault-injection and recovery accounting, summed over the run.
 ///
 /// All zero when no [`FaultPlan`](specdsm_types::FaultPlan) is active.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Request transmissions lost in the network.
     pub drops: u64,
@@ -88,7 +86,7 @@ impl std::ops::AddAssign for FaultStats {
 }
 
 /// Result of one complete system simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunStats {
     /// Workload name.
     pub workload: String,
@@ -99,7 +97,8 @@ pub struct RunStats {
     /// Discrete events processed by the simulation loop (resumes,
     /// deliveries, directory releases). Simulator-side work, not a
     /// property of the modeled machine; `sim_events / wall time` is the
-    /// simulator-throughput metric tracked in `BENCH_protocol.json`.
+    /// simulator-throughput metric that the repository benchmark
+    /// (`dsmbench/`) reports as `protocol.events_per_s`.
     pub sim_events: u64,
     /// Per-processor breakdowns.
     pub per_proc: Vec<ProcStats>,
@@ -126,7 +125,6 @@ pub struct RunStats {
     /// Online predictor accuracy (FR-/SWI-DSM only).
     pub predictor: Option<PredictorStats>,
     /// Directory message trace, when recording was enabled.
-    #[serde(skip)]
     pub trace: Option<DirectoryTrace>,
 }
 

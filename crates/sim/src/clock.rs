@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in processor cycles.
 ///
 /// `Cycle` is a newtype over `u64` so that simulated time cannot be
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(end - start, 418);
 /// assert_eq!(end.max(start), end);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {

@@ -13,8 +13,7 @@
 //! * [`FifoResource`] for occupancy-based contention modeling (memory
 //!   banks, network interfaces),
 //! * a tiny, stable [`Xorshift64Star`] PRNG used to generate the timing
-//!   jitter that stands in for real-system load imbalance, and
-//! * counters and histograms for statistics.
+//!   jitter that stands in for real-system load imbalance.
 //!
 //! # Example
 //!
@@ -40,10 +39,8 @@ mod clock;
 mod queue;
 mod resource;
 mod rng;
-mod stats;
 
 pub use clock::Cycle;
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use rng::Xorshift64Star;
-pub use stats::{Histogram, StatCounter};

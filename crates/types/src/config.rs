@@ -1,7 +1,5 @@
 //! Machine configuration (paper Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::BlockAddr;
 use crate::error::ConfigError;
 use crate::ids::{NodeId, MAX_PROCS};
@@ -29,7 +27,7 @@ pub const PAPER_BLOCK_BYTES: usize = 32;
 /// assert_eq!(lat.one_way(), 157);
 /// assert_eq!(2 * lat.one_way() + lat.mem_access, 418);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// Processor cache hit latency.
     pub cache_hit: u64,
@@ -101,7 +99,7 @@ impl Default for LatencyConfig {
 /// assert!((m.remote_to_local_ratio() - 4.0).abs() < 0.1);
 /// m.validate().expect("paper machine is valid");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of DSM nodes (= processors; one processor per node).
     pub num_nodes: usize,
