@@ -14,10 +14,15 @@
 //! status 2 and no output.
 //!
 //! Output goes to stdout and, with `--out`, one text file per
-//! experiment in DIR. A file that cannot be written exits with status 1.
+//! experiment in DIR. A file or stdout that cannot be written exits
+//! with status 1. A closed stdout (`repro all | head -1`) is not an
+//! error: `repro` stops quietly with status 0. Every line `repro`
+//! prints to stderr starts with `repro: `.
 
 use std::fmt::Write as _;
+use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use specdsm_bench::{fig6, fig7, fig8, fig9, table3, table4, table5, Lab, Scale, TextTable};
 use specdsm_protocol::SpecPolicy;
@@ -59,7 +64,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = argv.next().unwrap_or_default();
+                let v = argv
+                    .next()
+                    .ok_or("--scale needs a value (quick|default|paper)")?;
                 scale = match v.as_str() {
                     "quick" => Scale::Quick,
                     "default" => Scale::Default,
@@ -104,20 +111,47 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     })
 }
 
-fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+/// Why a run of `repro` stopped before it finished.
+#[derive(Debug, PartialEq)]
+enum Stop {
+    /// A bad argument, or an `--out` directory that cannot be created.
+    Usage(String),
+    /// An output file or stdout could not be written.
+    Write(String),
+    /// Whoever read stdout closed it. Not an error.
+    Closed,
+}
+
+impl Stop {
+    /// The process exit status for this stop.
+    fn status(&self) -> u8 {
+        match self {
+            Stop::Usage(_) => 2,
+            Stop::Write(_) => 1,
+            Stop::Closed => 0,
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    let Err(stop) = run(std::env::args().skip(1), &mut io::stdout().lock()) else {
+        return ExitCode::SUCCESS;
+    };
+    if let Stop::Usage(msg) | Stop::Write(msg) = &stop {
+        eprintln!("repro: {msg}");
+    }
+    ExitCode::from(stop.status())
+}
+
+/// Parses `argv`, then runs each experiment in turn, writing its text
+/// to `out` (and to `--out DIR`).
+fn run(argv: impl IntoIterator<Item = String>, out: &mut impl io::Write) -> Result<(), Stop> {
+    let args = parse_args(argv).map_err(Stop::Usage)?;
     if args.help {
-        println!("{USAGE}");
-        return;
+        return emit(out, USAGE);
     }
     if let Some(dir) = &args.out_dir {
-        if let Err(e) = create_out_dir(dir) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        create_out_dir(dir).map_err(Stop::Usage)?;
     }
 
     let mut lab = Lab::new(args.scale);
@@ -135,26 +169,33 @@ fn main() {
             "ablation" => render_ablation(args.scale),
             other => unreachable!("parse_args admitted unknown experiment '{other}'"),
         };
-        println!("{text}");
+        emit(out, &text)?;
         if let Some(dir) = &args.out_dir {
             let path = dir.join(format!("{exp}.txt"));
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("repro: cannot write '{}': {e}", path.display());
-                std::process::exit(1);
-            }
+            std::fs::write(&path, &text)
+                .map_err(|e| Stop::Write(format!("cannot write '{}': {e}", path.display())))?;
         }
     }
+    Ok(())
+}
+
+/// Writes one block of text and a newline to `out`. A closed pipe
+/// ends the run quietly ([`Stop::Closed`]); any other error is a
+/// one-line [`Stop::Write`].
+fn emit(out: &mut impl io::Write, text: &str) -> Result<(), Stop> {
+    writeln!(out, "{text}")
+        .and_then(|()| out.flush())
+        .map_err(|e| match e.kind() {
+            ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Write(format!("cannot write to stdout: {e}")),
+        })
 }
 
 /// Creates the `--out` directory, or returns the one-line message
 /// `main` prints before it exits.
 fn create_out_dir(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        format!(
-            "repro: cannot create output directory '{}': {e}",
-            dir.display()
-        )
-    })
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("cannot create output directory '{}': {e}", dir.display()))
 }
 
 fn pct(x: f64) -> String {
@@ -590,7 +631,10 @@ mod tests {
 
     #[test]
     fn bad_options_are_rejected() {
-        assert!(parse(&["--scale", "huge"]).is_err());
+        assert_eq!(
+            parse(&["--scale", "huge"]).unwrap_err(),
+            "unknown scale 'huge' (quick|default|paper)"
+        );
         assert!(parse(&["--out"]).is_err());
         let args = parse(&["table3", "--scale", "quick", "--out", "dir"]).unwrap();
         assert_eq!(args.scale, Scale::Quick);
@@ -604,11 +648,86 @@ mod tests {
         let dir = file.join("x");
         let err = create_out_dir(&dir).unwrap_err();
         std::fs::remove_file(&file).unwrap();
-        let expected = format!(
-            "repro: cannot create output directory '{}': ",
-            dir.display()
-        );
+        let expected = format!("cannot create output directory '{}': ", dir.display());
         assert!(err.starts_with(&expected), "{err}");
         assert_eq!(err.lines().count(), 1);
+    }
+
+    #[test]
+    fn missing_scale_value_is_named() {
+        assert_eq!(
+            parse(&["--scale"]).unwrap_err(),
+            "--scale needs a value (quick|default|paper)"
+        );
+        assert_eq!(
+            parse(&["fig7", "--scale"]).unwrap_err(),
+            "--scale needs a value (quick|default|paper)"
+        );
+    }
+
+    #[test]
+    fn missing_out_value_is_named() {
+        assert_eq!(parse(&["--out"]).unwrap_err(), "--out needs a directory");
+        assert_eq!(
+            parse(&["table3", "--out"]).unwrap_err(),
+            "--out needs a directory"
+        );
+    }
+
+    #[test]
+    fn usage_errors_exit_2_before_any_output() {
+        let mut out = Vec::new();
+        let stop = run(["bogus".to_string()], &mut out).unwrap_err();
+        assert_eq!(stop, Stop::Usage("unknown experiment 'bogus'".into()));
+        assert_eq!(stop.status(), 2);
+        assert!(out.is_empty());
+    }
+
+    /// A stdout whose reader went away, or one that fails otherwise.
+    struct FailingWriter(ErrorKind);
+
+    impl io::Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn closed_stdout_stops_quietly_with_status_0() {
+        let stop = run(
+            ["config".to_string()],
+            &mut FailingWriter(ErrorKind::BrokenPipe),
+        )
+        .unwrap_err();
+        assert_eq!(stop, Stop::Closed);
+        assert_eq!(stop.status(), 0);
+        let help = run(
+            ["--help".to_string()],
+            &mut FailingWriter(ErrorKind::BrokenPipe),
+        );
+        assert_eq!(help, Err(Stop::Closed));
+    }
+
+    #[test]
+    fn other_stdout_errors_are_one_line_with_status_1() {
+        let stop = emit(&mut FailingWriter(ErrorKind::PermissionDenied), "x").unwrap_err();
+        let Stop::Write(msg) = &stop else {
+            panic!("expected a write error, got {stop:?}");
+        };
+        assert!(msg.starts_with("cannot write to stdout: "), "{msg}");
+        assert_eq!(msg.lines().count(), 1);
+        assert_eq!(stop.status(), 1);
+    }
+
+    #[test]
+    fn experiments_reach_the_writer() {
+        let mut out = Vec::new();
+        run(["config".to_string()], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.starts_with("== Table 1"), "{text}");
+        assert!(text.ends_with("\n"));
     }
 }

@@ -84,4 +84,4 @@ pub use symbol::{HistoryKey, Symbol};
 pub use table::{History, PatternEntry, PatternTable};
 pub use vmsp::{SpecTicket, SpecTrigger, VSlot, Vmsp};
 
-pub use specdsm_types::{DirMsg, ReaderSet, ReaderSetInterner, SetId};
+pub use specdsm_types::{DirMsg, ReaderSet};

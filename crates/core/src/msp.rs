@@ -98,10 +98,6 @@ impl SharingPredictor for Msp {
             // Map-backed storage allocates exactly one slot per block.
             slots: self.inner.blocks_allocated(),
             entries: self.inner.pattern_entries(),
-            // Message-grain symbols carry no reader vectors.
-            spill_bytes: 0,
-            spill_unique: 0,
-            spill_refs: 0,
         }
     }
 

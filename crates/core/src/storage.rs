@@ -136,19 +136,6 @@ pub struct StorageReport {
     pub slots: u64,
     /// Total pattern-table entries across blocks.
     pub entries: u64,
-    /// Bytes of **spilled** reader-set state the predictor retains
-    /// beyond the fixed-size records counted above: the hash-cons
-    /// arena's canonical copies (one per distinct wide pattern) plus
-    /// any live per-block open-vector spills. Always zero on machines
-    /// of ≤ 64 processors, whose sets are inline.
-    pub spill_bytes: u64,
-    /// Distinct spilled reader-set patterns resident in the interner
-    /// arena (the dedup denominator).
-    pub spill_unique: u64,
-    /// Retained references to spilled sets the interner served (dedup
-    /// hits included) — each one a wide-set copy the pre-interning
-    /// layout would have heap-allocated separately.
-    pub spill_refs: u64,
 }
 
 impl StorageReport {
@@ -179,33 +166,12 @@ impl StorageReport {
     /// arena pays for every record in its committed span whether the
     /// protocol ever touched it or not, and honest accounting must say
     /// so (for the map-backed predictors `slots == blocks` and nothing
-    /// changes).
-    ///
-    /// Spilled reader-set words ([`StorageReport::spill_bytes`]) are
-    /// included: on >64-processor machines the per-record formulas
-    /// only cover the inline set headers, and omitting the heap words
-    /// (as this method did before interning) undercounts exactly the
-    /// machines the wide-set economics argument is about.
+    /// changes). Reader sets are one inline word, so the per-record
+    /// formulas are the whole cost: nothing lives on the heap beside
+    /// them.
     #[must_use]
     pub fn sw_bytes_total(&self) -> u64 {
-        self.slots * self.model.sw_history_bytes()
-            + self.entries * self.model.sw_entry_bytes()
-            + self.spill_bytes
-    }
-
-    /// How many retained wide-set copies each canonical arena pattern
-    /// absorbs: `spill_refs / spill_unique`. `1.0` means interning
-    /// saved nothing (every spilled set was unique); `1.0` is also
-    /// reported for inline-only machines, where there is nothing to
-    /// dedup. The pre-interning layout effectively ran at ratio 1 by
-    /// construction, paying one allocation per reference.
-    #[must_use]
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.spill_unique == 0 {
-            1.0
-        } else {
-            self.spill_refs as f64 / self.spill_unique as f64
-        }
+        self.slots * self.model.sw_history_bytes() + self.entries * self.model.sw_entry_bytes()
     }
 }
 
@@ -275,32 +241,27 @@ mod tests {
         assert!(break_even > 2.0 && break_even <= 3.0, "{break_even}");
     }
 
-    /// A report with no spilled state (the ≤64-processor case).
-    fn inline_report(model: StorageModel, blocks: u64, slots: u64, entries: u64) -> StorageReport {
+    fn report(model: StorageModel, blocks: u64, slots: u64, entries: u64) -> StorageReport {
         StorageReport {
             model,
             blocks,
             slots,
             entries,
-            spill_bytes: 0,
-            spill_unique: 0,
-            spill_refs: 0,
         }
     }
 
     #[test]
     fn report_averages() {
-        let rep = inline_report(model(PredictorKind::Msp, 1), 4, 4, 12);
+        let rep = report(model(PredictorKind::Msp, 1), 4, 4, 12);
         assert_eq!(rep.pte_per_block(), 3.0);
         assert!((rep.bytes_per_block() - (6.0 + 12.0 * 3.0) / 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_report_is_zero() {
-        let rep = inline_report(model(PredictorKind::Vmsp, 1), 0, 0, 0);
+        let rep = report(model(PredictorKind::Vmsp, 1), 0, 0, 0);
         assert_eq!(rep.pte_per_block(), 0.0);
         assert_eq!(rep.sw_bytes_total(), 0);
-        assert_eq!(rep.dedup_ratio(), 1.0, "nothing to dedup reads as 1");
     }
 
     #[test]
@@ -333,7 +294,7 @@ mod tests {
         assert_eq!(m.sw_entry_bytes(), 8 + 16 + 2 * sym + entry);
         assert_eq!(m.sw_history_bytes(), 2 * sym + 32);
 
-        let rep = inline_report(m, 3, 3, 7);
+        let rep = report(m, 3, 3, 7);
         assert_eq!(
             rep.sw_bytes_total(),
             3 * m.sw_history_bytes() + 7 * m.sw_entry_bytes()
@@ -344,32 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn spill_bytes_join_the_total_and_dedup_ratio_reads_out() {
-        // The wide-machine accounting bug this report used to have:
-        // spilled reader-set words never reached `sw_bytes_total`.
-        let m = StorageModel {
-            kind: PredictorKind::Vmsp,
-            depth: 1,
-            num_procs: 256,
-        };
-        let inline_only = inline_report(m, 3, 3, 7);
-        let spilled = StorageReport {
-            spill_bytes: 960,
-            spill_unique: 5,
-            spill_refs: 40,
-            ..inline_only
-        };
-        assert_eq!(
-            spilled.sw_bytes_total(),
-            inline_only.sw_bytes_total() + 960,
-            "spill bytes must be charged on top of the record formulas"
-        );
-        assert!((spilled.dedup_ratio() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_nonempty() {
-        let rep = inline_report(model(PredictorKind::Cosmos, 1), 1, 1, 5);
+        let rep = report(model(PredictorKind::Cosmos, 1), 1, 1, 5);
         assert!(rep.to_string().contains("Cosmos"));
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use specdsm_types::{AckKind, DirMsg, ProcId, ReaderSet, ReqKind, SetId};
+use specdsm_types::{AckKind, DirMsg, ProcId, ReaderSet, ReqKind};
 
 /// One history/pattern-table symbol.
 ///
@@ -11,21 +11,16 @@ use specdsm_types::{AckKind, DirMsg, ProcId, ReaderSet, ReqKind, SetId};
 /// * VMSP uses [`Symbol::Req`] for writes/upgrades and
 ///   [`Symbol::ReadVec`] for whole read sequences.
 ///
-/// Read vectors are carried as interned [`SetId`]s, so a symbol is
-/// `Copy` and symbol equality/hashing is O(1) even on wide machines
-/// whose reader sets spill past 64 processors. The id's cached digest
-/// is exactly [`ReaderSet::mix64`], so pattern keys are unchanged from
-/// the pre-interning representation.
+/// A read vector is a one-word [`ReaderSet`], so a symbol is `Copy`
+/// and 16 bytes, and symbol equality/hashing is O(1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Symbol {
     /// A request message `<kind, proc>`.
     Req(ReqKind, ProcId),
     /// An acknowledgement message `<kind, proc>` (Cosmos only).
     Ack(AckKind, ProcId),
-    /// A read sequence folded into an interned reader bit-vector
-    /// (VMSP only). The id is minted by the owning predictor's
-    /// `ReaderSetInterner`.
-    ReadVec(SetId),
+    /// A read sequence folded into a reader bit-vector (VMSP only).
+    ReadVec(ReaderSet),
 }
 
 impl Symbol {
@@ -48,9 +43,9 @@ impl Symbol {
         }
     }
 
-    /// The interned reader vector if this symbol is a read sequence.
+    /// The reader vector if this symbol is a read sequence.
     #[must_use]
-    pub fn read_vec(&self) -> Option<SetId> {
+    pub fn read_vec(&self) -> Option<ReaderSet> {
         match *self {
             Symbol::ReadVec(v) => Some(v),
             _ => None,
@@ -60,16 +55,13 @@ impl Symbol {
     /// The symbol's contribution to a rolling [`HistoryKey`]: a
     /// two-round SplitMix64 over the symbol's `(type tag, payload)`
     /// pair. The tag is diffused first and the **full 64-bit payload**
-    /// folded in afterwards, so a wide [`ReadVec`](Symbol::ReadVec)
-    /// loses no reader bits (a packed single-word encoding would have
-    /// to truncate the vector to make room for the tag — fatal now
-    /// that the result indexes the pattern tables). For read vectors
-    /// the payload is [`SetId::key`] — the interned set's cached
-    /// [`ReaderSet::mix64`] digest: identical to the raw bit word for
-    /// machines up to 64 processors (so pattern keys are unchanged by
-    /// the hybrid-bitset and interning reworks), a whole-vector fold
-    /// for spilled sets. The additive constant keeps the all-zero pair
-    /// (`<Read, P0>`) away from the mix function's zero fixed point.
+    /// folded in afterwards, so a [`ReadVec`](Symbol::ReadVec) loses
+    /// no reader bits (a packed single-word encoding would have to
+    /// truncate the vector to make room for the tag — fatal now that
+    /// the result indexes the pattern tables). For read vectors the
+    /// payload is the raw bit word, [`ReaderSet::bits`]. The additive
+    /// constant keeps the all-zero pair (`<Read, P0>`) away from the
+    /// mix function's zero fixed point.
     #[must_use]
     pub(crate) fn mixed(&self) -> u64 {
         let (tag, payload): (u64, u64) = match self {
@@ -88,14 +80,16 @@ impl Symbol {
                 };
                 (k, p.0 as u64)
             }
-            Symbol::ReadVec(v) => (5, v.key()),
+            Symbol::ReadVec(v) => (5, v.bits()),
         };
-        splitmix64(splitmix64(tag.wrapping_add(0x9E37_79B9_7F4A_7C15)).wrapping_add(payload))
+        splitmix_finalize(
+            splitmix_finalize(tag.wrapping_add(0x9E37_79B9_7F4A_7C15)).wrapping_add(payload),
+        )
     }
 }
 
 /// The SplitMix64 finalizer: a bijective 64-bit diffusion round.
-fn splitmix64(mut z: u64) -> u64 {
+fn splitmix_finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -106,13 +100,7 @@ impl fmt::Display for Symbol {
         match self {
             Symbol::Req(kind, p) => write!(f, "<{kind}, {p}>"),
             Symbol::Ack(kind, p) => write!(f, "<{kind}, {p}>"),
-            // An inline id is the raw low word, so the paper's set
-            // notation can be reconstructed without an interner; a
-            // spilled id is shown by arena index and digest.
-            Symbol::ReadVec(v) => match v.index() {
-                None => write!(f, "<Read, {}>", ReaderSet::from_bits(v.key())),
-                Some(idx) => write!(f, "<Read, #{idx}:{:016x}>", v.key()),
-            },
+            Symbol::ReadVec(v) => write!(f, "<Read, {v}>"),
         }
     }
 }
@@ -212,12 +200,9 @@ impl HistoryKey {
 mod tests {
     use super::*;
 
-    /// An inline read-vector symbol over processors `P0..P63` — the
-    /// complete id needs no interner below the spill boundary.
+    /// A read-vector symbol over processors `P0..P63`.
     fn read_vec_of(procs: &[usize]) -> Symbol {
-        let set: ReaderSet = procs.iter().map(|&i| ProcId(i)).collect();
-        assert!(!set.has_spill(), "test helper is for inline sets");
-        Symbol::ReadVec(SetId::from_bits(set.bits()))
+        Symbol::ReadVec(procs.iter().map(|&i| ProcId(i)).collect())
     }
 
     #[test]
@@ -234,7 +219,7 @@ mod tests {
         assert_eq!(s.request(), Some((ReqKind::Write, ProcId(4))));
         assert_eq!(s.read_vec(), None);
         let v = read_vec_of(&[1]);
-        assert_eq!(v.read_vec(), Some(SetId::from_bits(1 << 1)));
+        assert_eq!(v.read_vec(), Some(ReaderSet::from_bits(1 << 1)));
         assert_eq!(v.request(), None);
     }
 
@@ -335,13 +320,13 @@ mod tests {
         );
         let v = read_vec_of(&[1, 2]);
         assert_eq!(v.to_string(), "<Read, {P1,P2}>");
-        // Spilled vectors can't be reconstructed from the id alone;
-        // they display the arena handle instead.
-        let mut sets = specdsm_types::ReaderSetInterner::new();
-        let wide = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(100)]));
-        assert_eq!(
-            Symbol::ReadVec(wide).to_string(),
-            format!("<Read, #0:{:016x}>", wide.key())
-        );
+        assert_eq!(read_vec_of(&[63]).to_string(), "<Read, {P63}>");
+    }
+
+    #[test]
+    fn symbol_is_a_copy_pair_of_words() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<Symbol>();
+        assert_eq!(std::mem::size_of::<Symbol>(), 16);
     }
 }

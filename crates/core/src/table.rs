@@ -214,28 +214,19 @@ impl PatternTable {
     /// verification: "removes mispredicted request sequences from the
     /// pattern tables", paper §4.2). Returns `true` if an entry
     /// changed. O(1) lookup: the ticket key indexes the entry
-    /// directly; `sets` must be the interner that minted the entry's
-    /// read-vector ids (the pruned vector is re-interned through it).
-    pub fn prune_reader(
-        &mut self,
-        sets: &mut specdsm_types::ReaderSetInterner,
-        key: HistoryKey,
-        reader: specdsm_types::ProcId,
-    ) -> bool {
+    /// directly.
+    pub fn prune_reader(&mut self, key: HistoryKey, reader: specdsm_types::ProcId) -> bool {
         let Some(keyed) = self.entries.get_mut(&key) else {
             return false;
         };
         let Symbol::ReadVec(v) = &mut keyed.entry.prediction else {
             return false;
         };
-        let pruned = sets.remove(*v, reader);
-        if pruned == *v {
+        if !v.remove(reader) {
             return false;
         }
-        if pruned.is_empty() {
+        if v.is_empty() {
             self.entries.remove(&key);
-        } else {
-            *v = pruned;
         }
         true
     }
@@ -387,7 +378,7 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::{ProcId, ReaderSet, ReaderSetInterner, ReqKind, SetId};
+    use specdsm_types::{ProcId, ReaderSet, ReqKind};
 
     fn req(kind: ReqKind, p: usize) -> Symbol {
         Symbol::Req(kind, ProcId(p))
@@ -506,50 +497,31 @@ mod tests {
 
     #[test]
     fn prune_reader_shrinks_vector() {
-        let mut sets = ReaderSetInterner::new();
         let mut t = PatternTable::new();
         let h = history_of(&[req(ReqKind::Write, 3)]);
-        let vec = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(2)]));
+        let vec = ReaderSet::from_iter([ProcId(1), ProcId(2)]);
         t.learn(&h, Symbol::ReadVec(vec));
         let key = h.key();
-        assert!(t.prune_reader(&mut sets, key, ProcId(2)));
+        assert!(t.prune_reader(key, ProcId(2)));
         assert_eq!(
             t.peek(&h).unwrap().prediction,
-            Symbol::ReadVec(SetId::from_bits(1 << 1))
+            Symbol::ReadVec(ReaderSet::from_bits(1 << 1))
         );
+        // Pruning a reader the vector does not hold changes nothing.
+        assert!(!t.prune_reader(key, ProcId(2)));
         // Pruning the last reader removes the entry entirely.
-        assert!(t.prune_reader(&mut sets, key, ProcId(1)));
+        assert!(t.prune_reader(key, ProcId(1)));
         assert!(t.is_empty());
         // Pruning a missing entry is a no-op.
-        assert!(!t.prune_reader(&mut sets, key, ProcId(1)));
-    }
-
-    #[test]
-    fn prune_reader_shrinks_spilled_vector() {
-        // The same feedback path on a wide-machine vector: the pruned
-        // set is re-interned and the stored id swaps — no in-place
-        // mutation of arena state.
-        let mut sets = ReaderSetInterner::new();
-        let mut t = PatternTable::new();
-        let h = history_of(&[req(ReqKind::Write, 3)]);
-        let vec = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(200)]));
-        t.learn(&h, Symbol::ReadVec(vec));
-        assert!(t.prune_reader(&mut sets, h.key(), ProcId(1)));
-        let Some(Symbol::ReadVec(left)) = t.peek(&h).map(|e| e.prediction) else {
-            panic!("entry survived with one reader");
-        };
-        assert_eq!(sets.resolve(left), ReaderSet::single(ProcId(200)));
-        assert!(t.prune_reader(&mut sets, h.key(), ProcId(200)));
-        assert!(t.is_empty());
+        assert!(!t.prune_reader(key, ProcId(1)));
     }
 
     #[test]
     fn prune_reader_ignores_non_vector_entries() {
-        let mut sets = ReaderSetInterner::new();
         let mut t = PatternTable::new();
         let h = history_of(&[req(ReqKind::Read, 1)]);
         t.learn(&h, req(ReqKind::Write, 2));
-        assert!(!t.prune_reader(&mut sets, h.key(), ProcId(2)));
+        assert!(!t.prune_reader(h.key(), ProcId(2)));
         assert_eq!(t.len(), 1);
     }
 

@@ -24,17 +24,15 @@
 //! Offline replay hands over each block's whole stream at once
 //! ([`SharingPredictor::replay_block`]): the block's slot is resolved
 //! once, the stream runs through the same [`Vmsp::observe_at`] the
-//! protocol uses, and the block is then retired. Its entry count and
-//! open-vector spill bytes join running totals that
-//! [`SharingPredictor::storage`] adds back, and its cleared history
+//! protocol uses, and the block is then retired. Its entry count joins
+//! a running total that [`SharingPredictor::storage`] adds back, and
+//! its cleared history
 //! register and pattern table become the spare the next replayed block
 //! takes up. The slot itself stays active (it still counts toward
 //! `blocks` and `slots`) but holds no tables, so replay memory is the
 //! arena records plus one block's tables.
 
-use specdsm_types::{
-    BlockAddr, DirMsg, HomeGeometry, NodeId, ProcId, ReaderSet, ReaderSetInterner, ReqKind,
-};
+use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, NodeId, ProcId, ReaderSet, ReqKind};
 
 use crate::predictor::{PredictorKind, SharingPredictor};
 use crate::stats::{Observation, PredictorStats};
@@ -99,11 +97,6 @@ pub struct Vmsp {
     num_procs: usize,
     geom: HomeGeometry,
     homes: Vec<HomeArena>,
-    /// Hash-cons arena for the spilled (>64-processor) read vectors
-    /// this predictor retains in its pattern tables. Owned per
-    /// predictor instance, so clones (differential references) stay
-    /// self-contained and `Send`.
-    sets: ReaderSetInterner,
     stats: PredictorStats,
     /// Cleared history register and pattern table of the last block
     /// retired by `replay_block`, taken up by the next one.
@@ -111,9 +104,6 @@ pub struct Vmsp {
     spare_table: PatternTable,
     /// Pattern entries retired blocks held when they were retired.
     retired_entries: u64,
-    /// Open-vector spill bytes retired blocks held when they were
-    /// retired.
-    retired_open_spill: u64,
 }
 
 /// One home's dense block-state table.
@@ -269,12 +259,10 @@ impl Vmsp {
             num_procs,
             geom,
             homes: vec![HomeArena::default(); geom.num_nodes()],
-            sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
             spare_history: History::new(depth),
             spare_table: PatternTable::new(),
             retired_entries: 0,
-            retired_open_spill: 0,
         }
     }
 
@@ -373,18 +361,7 @@ impl Vmsp {
         let Some((kind, p)) = msg.request() else {
             return Observation::Ignored;
         };
-        // Field-split borrow: the record lives in `homes`, the read
-        // vectors in `sets` — both are needed mutably in one pass
-        // (this inlines `at_mut`, activity marking included).
-        let Vmsp {
-            homes, sets, stats, ..
-        } = self;
-        let arena = &mut homes[slot.home as usize];
-        let b = &mut arena.table[slot.idx as usize];
-        if !b.active {
-            b.active = true;
-            arena.active += 1;
-        }
+        let b = self.at_mut(slot);
         let obs = match kind {
             ReqKind::Read => {
                 // Each read is checked against the vector predicted to
@@ -393,7 +370,7 @@ impl Vmsp {
                 let obs = if b.history.is_full() {
                     match b.table.predict(&b.history) {
                         Some(Symbol::ReadVec(v)) => Observation::Predicted {
-                            correct: sets.contains(v, p),
+                            correct: v.contains(p),
                         },
                         Some(_) => Observation::Predicted { correct: false },
                         None => Observation::NoPrediction,
@@ -406,11 +383,9 @@ impl Vmsp {
             }
             ReqKind::Write | ReqKind::Upgrade => {
                 // A write/upgrade closes any open read phase: the
-                // accumulated vector is interned (one arena id however
-                // often this pattern recurs) and becomes one history
-                // symbol.
+                // accumulated vector becomes one history symbol.
                 if !b.open.is_empty() {
-                    let vec = Symbol::ReadVec(sets.intern_owned(std::mem::take(&mut b.open)));
+                    let vec = Symbol::ReadVec(std::mem::take(&mut b.open));
                     Self::commit(b, vec);
                 }
                 let sym = Symbol::Req(kind, p);
@@ -430,7 +405,7 @@ impl Vmsp {
                 obs
             }
         };
-        stats.record(obs);
+        self.stats.record(obs);
         obs
     }
 
@@ -447,10 +422,7 @@ impl Vmsp {
 
     /// Slot-addressed form of [`Vmsp::prune_reader`].
     pub fn prune_reader_at(&mut self, slot: VSlot, ticket: SpecTicket, reader: ProcId) -> bool {
-        let Vmsp { homes, sets, .. } = self;
-        homes[slot.home as usize].table[slot.idx as usize]
-            .table
-            .prune_reader(sets, ticket.key, reader)
+        self.at_mut_raw(slot).table.prune_reader(ticket.key, reader)
     }
 
     /// Slot-addressed form of [`Vmsp::swi_allowed`].
@@ -529,11 +501,8 @@ impl Vmsp {
             return None;
         }
         match b.table.peek(&b.history)?.prediction {
-            // The speculation engine fans the prediction out to the
-            // network, so this is a genuinely transient copy — the
-            // persistent state keeps only the interned id.
             Symbol::ReadVec(v) => Some((
-                self.sets.resolve(v),
+                v,
                 SpecTicket {
                     key: b.history.key(),
                 },
@@ -556,22 +525,8 @@ impl Vmsp {
     /// prediction ("removes mispredicted request sequences", §4.2).
     /// Returns `true` if an entry changed.
     pub fn prune_reader(&mut self, block: BlockAddr, ticket: SpecTicket, reader: ProcId) -> bool {
-        // Field-split borrow of `lookup_mut`'s logic: the pruned
-        // vector re-interns through `sets` while the entry is borrowed
-        // from `homes`.
-        let Vmsp {
-            homes, sets, geom, ..
-        } = self;
-        let home = geom.home_of(block);
-        let idx = geom.local_index(block);
-        match homes
-            .get_mut(home.0)
-            .and_then(|h| h.table.get_mut(idx))
-            .filter(|b| b.active)
-        {
-            Some(b) => b.table.prune_reader(sets, ticket.key, reader),
-            None => false,
-        }
+        self.lookup_mut(block)
+            .is_some_and(|b| b.table.prune_reader(ticket.key, reader))
     }
 
     /// Whether SWI may speculatively invalidate the writable copy of
@@ -644,7 +599,7 @@ impl SharingPredictor for Vmsp {
         }
         let b = &mut self.homes[slot.home as usize].table[slot.idx as usize];
         self.retired_entries += b.table.len() as u64;
-        self.retired_open_spill += std::mem::take(&mut b.open).heap_bytes() as u64;
+        b.open = ReaderSet::new();
         self.spare_history = std::mem::replace(&mut b.history, History::new(self.depth));
         self.spare_table = std::mem::take(&mut b.table);
         self.spare_history.clear();
@@ -659,19 +614,10 @@ impl SharingPredictor for Vmsp {
         let mut slots = 0u64;
         let mut blocks = 0u64;
         let mut entries = self.retired_entries;
-        // Open (still-accumulating) vectors are the one place a wide
-        // set still lives outside the arena; their heap words are
-        // charged per copy.
-        let mut open_spill = self.retired_open_spill;
         for home in &self.homes {
             slots += home.table.len() as u64;
             blocks += home.active as u64;
             entries += home.table.iter().map(|b| b.table.len() as u64).sum::<u64>();
-            open_spill += home
-                .table
-                .iter()
-                .map(|b| b.open.heap_bytes() as u64)
-                .sum::<u64>();
         }
         StorageReport {
             model: StorageModel {
@@ -682,9 +628,6 @@ impl SharingPredictor for Vmsp {
             blocks,
             slots,
             entries,
-            spill_bytes: self.sets.spill_bytes() + open_spill,
-            spill_unique: self.sets.unique_spilled(),
-            spill_refs: self.sets.spill_refs(),
         }
     }
 
@@ -983,57 +926,22 @@ mod tests {
     }
 
     #[test]
-    fn wide_machine_storage_charges_spill_bytes() {
-        // Regression for the >64-proc accounting bug: `sw_bytes_total`
-        // used to ignore spilled reader-set heap words entirely, so a
-        // 256-processor report was identical to what an inline-only
-        // machine with the same slot/entry counts would show.
-        let mut vmsp = Vmsp::new(1, 256);
-        let readers = [1usize, 70, 130, 200, 255];
-        for bi in 0..8u64 {
-            let b = BlockAddr(bi);
-            for _ in 0..4 {
-                vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-                for r in readers {
-                    vmsp.observe(b, DirMsg::read(ProcId(r)));
-                }
-            }
-            // Close the final read phase so the last vector commits.
-            vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-        }
-        let rep = vmsp.storage();
-        let inline_only =
-            rep.slots * rep.model.sw_history_bytes() + rep.entries * rep.model.sw_entry_bytes();
-        assert!(rep.spill_bytes > 0, "wide vectors must be charged");
-        assert!(
-            rep.sw_bytes_total() > inline_only,
-            "the report must grow past the inline-only figure"
-        );
-        // Every block re-learns the same wide pattern, so the arena
-        // holds one canonical copy serving many retained references.
-        assert_eq!(rep.spill_unique, 1);
-        assert!(rep.spill_refs > rep.spill_unique);
-        assert!(rep.dedup_ratio() > 1.0);
-    }
-
-    #[test]
     fn replay_block_releases_tables_but_keeps_storage() {
         let b = BlockAddr(5);
         let mut msgs = Vec::new();
         for _ in 0..4 {
             msgs.push(DirMsg::upgrade(ProcId(3)));
-            msgs.extend([1, 70, 130].map(|r| DirMsg::read(ProcId(r))));
+            msgs.extend([1, 40, 63].map(|r| DirMsg::read(ProcId(r))));
         }
-        let mut observed = Vmsp::new(1, 256);
+        let mut observed = Vmsp::new(1, 64);
         for &m in &msgs {
             observed.observe(b, m);
         }
-        let mut replayed = Vmsp::new(1, 256);
+        let mut replayed = Vmsp::new(1, 64);
         replayed.replay_block(b, &msgs);
         assert_eq!(replayed.stats(), observed.stats());
-        // The read phase left open at the end spills; its bytes are
-        // still reported after the open vector itself was released.
-        assert!(observed.storage().spill_bytes > replayed.sets.spill_bytes());
+        // Entries the retired table held are still reported after the
+        // table itself was released.
         assert_eq!(replayed.storage(), observed.storage());
         let slot = replayed.slot_of(b);
         let rec = replayed.at(slot);

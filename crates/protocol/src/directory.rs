@@ -16,23 +16,19 @@
 use std::collections::VecDeque;
 
 use specdsm_core::SpecTicket;
-use specdsm_types::{BlockAddr, HomeGeometry, MachineConfig, NodeId, ProcId, ReqKind, SetId};
+use specdsm_types::{BlockAddr, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind};
 
 /// Stable sharing state of a block at its home directory (paper
 /// Figure 1).
 ///
-/// The sharer set is an interned [`SetId`]: machines up to 64
-/// processors encode the set inline in the id itself, wider sets point
-/// into the machine's
-/// [`ReaderSetInterner`](specdsm_types::ReaderSetInterner) arena. That
-/// keeps this enum `Copy` — directory records move through audits
-/// and coherence checks without cloning heap words.
+/// The sharer set is a one-word [`ReaderSet`], so this enum is `Copy`:
+/// directory records move through audits and coherence checks by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirState {
     /// No remote copies.
     Idle,
     /// One or more read-only copies.
-    Shared(SetId),
+    Shared(ReaderSet),
     /// A single writable copy.
     Exclusive(ProcId),
 }
@@ -129,10 +125,10 @@ impl DirBlock {
     }
 
     /// Current sharers (empty unless `Shared`).
-    pub fn sharers(&self) -> SetId {
+    pub fn sharers(&self) -> ReaderSet {
         match self.state {
             DirState::Shared(r) => r,
-            _ => SetId::EMPTY,
+            _ => ReaderSet::new(),
         }
     }
 }
@@ -360,7 +356,6 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::ReaderSetInterner;
 
     fn dir(node: usize) -> Directory {
         Directory::new(NodeId(node), &MachineConfig::paper_machine())
@@ -387,22 +382,20 @@ mod tests {
 
     #[test]
     fn sharers_accessor() {
-        let mut sets = ReaderSetInterner::new();
         let mut d = dir(0);
         let b = d.block_mut(BlockAddr(1));
         assert!(b.sharers().is_empty());
-        b.state = DirState::Shared(sets.single(ProcId(2)));
-        assert!(sets.contains(b.sharers(), ProcId(2)));
+        b.state = DirState::Shared(ReaderSet::single(ProcId(2)));
+        assert!(b.sharers().contains(ProcId(2)));
         b.state = DirState::Exclusive(ProcId(1));
         assert!(b.sharers().is_empty());
     }
 
     #[test]
     fn invariants_pass_on_consistent_state() {
-        let mut sets = ReaderSetInterner::new();
         let mut d = dir(0);
         let b = d.block_mut(BlockAddr(1));
-        b.state = DirState::Shared(sets.single(ProcId(0)));
+        b.state = DirState::Shared(ReaderSet::single(ProcId(0)));
         d.check_invariants();
     }
 
@@ -410,7 +403,7 @@ mod tests {
     #[should_panic(expected = "empty sharer set")]
     fn invariants_catch_empty_shared() {
         let mut d = dir(0);
-        d.block_mut(BlockAddr(1)).state = DirState::Shared(SetId::EMPTY);
+        d.block_mut(BlockAddr(1)).state = DirState::Shared(ReaderSet::new());
         d.check_invariants();
     }
 
@@ -543,23 +536,21 @@ mod tests {
             let mut map: Vec<MapDirectory> =
                 (0..m.num_nodes).map(|_| MapDirectory::new()).collect();
 
-            // A single interner serves both storages so equal sharer
-            // sets compare equal by `SetId` in the final diff.
-            let mut sets = ReaderSetInterner::new();
-            let apply =
-                |sets: &mut ReaderSetInterner, blk: &mut DirBlock, op: &Op, p: ProcId| match op {
-                    Op::Read(_) => {
-                        if let DirState::Exclusive(_) = blk.state {
-                            blk.version = blk.next_version - 1;
-                        }
-                        blk.state = DirState::Shared(sets.insert(blk.sharers(), p));
+            let apply = |blk: &mut DirBlock, op: &Op, p: ProcId| match op {
+                Op::Read(_) => {
+                    if let DirState::Exclusive(_) = blk.state {
+                        blk.version = blk.next_version - 1;
                     }
-                    Op::Write(_) => {
-                        blk.state = DirState::Exclusive(p);
-                        blk.grant_version();
-                    }
-                    _ => {}
-                };
+                    let mut sharers = blk.sharers();
+                    sharers.insert(p);
+                    blk.state = DirState::Shared(sharers);
+                }
+                Op::Write(_) => {
+                    blk.state = DirState::Exclusive(p);
+                    blk.grant_version();
+                }
+                _ => {}
+            };
 
             for (i, stream) in w.build_streams().into_iter().enumerate() {
                 let p = ProcId(i);
@@ -569,8 +560,8 @@ mod tests {
                         _ => continue,
                     };
                     let home = m.home_of(block);
-                    apply(&mut sets, dense[home.0].block_mut(block), &op, p);
-                    apply(&mut sets, map[home.0].block_mut(block), &op, p);
+                    apply(dense[home.0].block_mut(block), &op, p);
+                    apply(map[home.0].block_mut(block), &op, p);
                 }
             }
 

@@ -21,8 +21,7 @@ use std::sync::Arc;
 use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger, VSlot};
 use specdsm_sim::{Cycle, EventQueue, FifoResource};
 use specdsm_types::{
-    BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
-    ReaderSetInterner, ReqKind,
+    BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
 };
 
 use crate::audit::Auditor;
@@ -153,10 +152,6 @@ pub(crate) struct Machine<V: SpecStore> {
     pub procs: Vec<Processor>,
     /// Home directories, indexed by node.
     pub dirs: Vec<Directory>,
-    /// Hash-cons arena backing the [`DirState::Shared`] sharer sets of
-    /// every directory; id assignment depends only on the
-    /// deterministic event order.
-    pub sets: ReaderSetInterner,
     /// Memory buses, indexed by node.
     pub mems: Vec<FifoResource>,
     /// Network interfaces (outbound and inbound) of every node.
@@ -214,7 +209,6 @@ impl<V: SpecStore> Machine<V> {
         Machine {
             procs,
             dirs: (0..n).map(|i| Directory::new(NodeId(i), machine)).collect(),
-            sets: ReaderSetInterner::new(),
             mems: (0..n).map(|_| FifoResource::new()).collect(),
             net: Network::new(n, machine.latency),
             spec,
@@ -742,7 +736,7 @@ impl<V: SpecStore> Machine<V> {
         if dir_bound && self.audit.is_some() {
             let state = self.dirs[dst.0].state(block);
             if let Some(audit) = &mut self.audit {
-                audit.check_dir_state(block, state, &self.sets);
+                audit.check_dir_state(block, state);
             }
         }
     }
@@ -859,9 +853,10 @@ impl<V: SpecStore> Machine<V> {
         match owner {
             None => {
                 let t = self.mem_access(now, home);
-                let readers = self.sets.insert(self.dblk_ref(slot).sharers(), p);
                 let version = {
                     let blk = self.dblk(slot);
+                    let mut readers = blk.sharers();
+                    readers.insert(p);
                     blk.state = DirState::Shared(readers);
                     blk.version
                 };
@@ -910,12 +905,8 @@ impl<V: SpecStore> Machine<V> {
                 self.lock_reply(now, slot, vslot, block, sent);
             }
             Some(Ok(readers)) => {
-                let in_place = kind == ReqKind::Upgrade && self.sets.contains(readers, p);
-                // The invalidation fan-out iterates the set, so a wide
-                // one is materialized once (a transient copy); the
-                // interned record itself is untouched.
-                let others = self.sets.remove(readers, p);
-                let others = self.sets.resolve(others);
+                let in_place = kind == ReqKind::Upgrade && readers.contains(p);
+                let others = readers - ReaderSet::single(p);
                 if others.is_empty() {
                     let sent = self.grant_exclusive(now, slot, vslot, block, p, in_place);
                     self.lock_reply(now, slot, vslot, block, sent);
@@ -1112,10 +1103,9 @@ impl<V: SpecStore> Machine<V> {
             TxnKind::Read(requester) => {
                 // Memory absorbs the writeback and sources the reply.
                 let t = self.mem_access(now, home);
-                let single = self.sets.single(requester);
                 let version = {
                     let blk = self.dblk(slot);
-                    blk.state = DirState::Shared(single);
+                    blk.state = DirState::Shared(ReaderSet::single(requester));
                     blk.version
                 };
                 self.send(
@@ -1235,7 +1225,7 @@ impl<V: SpecStore> Machine<V> {
                 !matches!(blk.state, DirState::Exclusive(_)),
                 "speculative forward while a writable copy exists"
             );
-            let targets = self.sets.with(blk.sharers(), |sharers| &vec - sharers);
+            let targets = vec - blk.sharers();
             (targets, blk.version)
         };
         if targets.is_empty() {
@@ -1253,12 +1243,8 @@ impl<V: SpecStore> Machine<V> {
         for r in targets.iter() {
             self.spec.note_sent(vslot, block, r, ticket, trigger);
         }
-        {
-            let merged = self
-                .sets
-                .union_with(self.dblk_ref(slot).sharers(), &targets);
-            self.dblk(slot).state = DirState::Shared(merged);
-        }
+        let blk = self.dblk(slot);
+        blk.state = DirState::Shared(blk.sharers() | targets);
         self.spec.vmsp.speculate_readers(vslot, block, targets);
         Some(t)
     }

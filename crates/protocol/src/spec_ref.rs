@@ -15,9 +15,7 @@ use specdsm_core::{
     FxHashMap, History, Observation, PatternTable, PredictorKind, PredictorStats, SpecTicket,
     SpecTrigger, StorageModel, StorageReport, Symbol, VSlot,
 };
-use specdsm_types::{
-    BlockAddr, DirMsg, MachineConfig, NodeId, ProcId, ReaderSet, ReaderSetInterner, ReqKind,
-};
+use specdsm_types::{BlockAddr, DirMsg, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind};
 
 use crate::spec::SpecStore;
 
@@ -37,12 +35,6 @@ pub struct MapSpecStore {
     /// Outstanding speculative copies: `(block, receiver)` → how and
     /// under which pattern context they were sent.
     tickets: FxHashMap<(BlockAddr, ProcId), (SpecTicket, SpecTrigger)>,
-    /// Hash-cons arena for spilled (>64-processor) read vectors. The
-    /// map store owns its own arena, so `SetId`s allocated here follow
-    /// a different insertion order than the dense store's — the
-    /// differential tests therefore also prove the simulation is
-    /// independent of arena id assignment.
-    sets: ReaderSetInterner,
     stats: PredictorStats,
 }
 
@@ -81,7 +73,6 @@ impl SpecStore for MapSpecStore {
             num_procs: machine.num_nodes,
             blocks: FxHashMap::default(),
             tickets: FxHashMap::default(),
-            sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
         }
     }
@@ -96,24 +87,13 @@ impl SpecStore for MapSpecStore {
         let Some((kind, p)) = msg.request() else {
             return Observation::Ignored;
         };
-        let depth = self.depth;
-        let MapSpecStore {
-            blocks,
-            sets,
-            stats,
-            ..
-        } = self;
-        let b = blocks.entry(block).or_insert_with(|| RefBlock {
-            history: History::new(depth),
-            table: PatternTable::new(),
-            open: ReaderSet::new(),
-        });
+        let b = self.block_mut(block);
         let obs = match kind {
             ReqKind::Read => {
                 let obs = if b.history.is_full() {
                     match b.table.predict(&b.history) {
                         Some(Symbol::ReadVec(v)) => Observation::Predicted {
-                            correct: sets.contains(v, p),
+                            correct: v.contains(p),
                         },
                         Some(_) => Observation::Predicted { correct: false },
                         None => Observation::NoPrediction,
@@ -126,7 +106,7 @@ impl SpecStore for MapSpecStore {
             }
             ReqKind::Write | ReqKind::Upgrade => {
                 if !b.open.is_empty() {
-                    let vec = Symbol::ReadVec(sets.intern_owned(std::mem::take(&mut b.open)));
+                    let vec = Symbol::ReadVec(std::mem::take(&mut b.open));
                     Self::commit(b, vec);
                 }
                 let sym = Symbol::Req(kind, p);
@@ -144,7 +124,7 @@ impl SpecStore for MapSpecStore {
                 obs
             }
         };
-        stats.record(obs);
+        self.stats.record(obs);
         obs
     }
 
@@ -154,9 +134,7 @@ impl SpecStore for MapSpecStore {
             return None;
         }
         match b.table.peek(&b.history)?.prediction {
-            Symbol::ReadVec(v) => {
-                Some((self.sets.resolve(v), SpecTicket::from_key(b.history.key())))
-            }
+            Symbol::ReadVec(v) => Some((v, SpecTicket::from_key(b.history.key()))),
             _ => None,
         }
     }
@@ -172,11 +150,9 @@ impl SpecStore for MapSpecStore {
         ticket: SpecTicket,
         reader: ProcId,
     ) -> bool {
-        let MapSpecStore { blocks, sets, .. } = self;
-        match blocks.get_mut(&block) {
-            Some(b) => b.table.prune_reader(sets, ticket.key(), reader),
-            None => false,
-        }
+        self.blocks
+            .get_mut(&block)
+            .is_some_and(|b| b.table.prune_reader(ticket.key(), reader))
     }
 
     fn swi_allowed(&self, _slot: VSlot, block: BlockAddr) -> bool {
@@ -230,14 +206,6 @@ impl SpecStore for MapSpecStore {
             blocks: self.blocks.len() as u64,
             slots: self.blocks.len() as u64,
             entries: self.blocks.values().map(|b| b.table.len() as u64).sum(),
-            spill_bytes: self.sets.spill_bytes()
-                + self
-                    .blocks
-                    .values()
-                    .map(|b| b.open.heap_bytes() as u64)
-                    .sum::<u64>(),
-            spill_unique: self.sets.unique_spilled(),
-            spill_refs: self.sets.spill_refs(),
         }
     }
 }

@@ -317,7 +317,7 @@ impl<V: SpecStore> GenericSystem<V> {
                     DirState::Shared(readers) => {
                         for proc in &m.procs {
                             let cached = proc.cache().state(block);
-                            if m.sets.contains(readers, proc.id()) {
+                            if readers.contains(proc.id()) {
                                 // In finite-cache mode a listed sharer
                                 // may have silently evicted its copy;
                                 // the directory is allowed to be stale.
@@ -631,6 +631,31 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::ProcCountMismatch { .. }));
+    }
+
+    #[test]
+    fn machine_wider_than_one_reader_word_is_rejected() {
+        // One bit per processor in a u64 reader set: 65 nodes is an
+        // error value, not a panic deep inside the directory.
+        let cfg = SystemConfig {
+            machine: machine(65),
+            ..SystemConfig::default()
+        };
+        let err = System::new(
+            cfg,
+            &Script {
+                name: "wide",
+                ops: vec![vec![]; 65],
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::Config(ConfigError::TooManyNodes {
+                requested: 65,
+                max: 64
+            })
+        );
     }
 
     #[test]

@@ -289,8 +289,8 @@ mod tests {
             .unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("1024"),
-            "oversized machine error names the new limit: {msg}"
+            msg.contains("65 nodes requested but at most 64 supported"),
+            "oversized machine error names the limit: {msg}"
         );
     }
 

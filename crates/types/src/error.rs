@@ -63,7 +63,7 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("2000"));
         assert!(
-            msg.contains("1024"),
+            msg.contains("at most 64 supported"),
             "error must name the current limit: {msg}"
         );
         assert!(msg.contains("MAX_PROCS"), "error names the limit constant");

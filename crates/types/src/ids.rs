@@ -4,12 +4,12 @@ use std::fmt;
 
 /// Maximum number of processors supported by the bit-vector types.
 ///
-/// [`crate::ReaderSet`] is a hybrid bitset: machines up to 64
-/// processors (including the paper's 16-node machine) stay on an inline
-/// `u64` fast path, while wider machines spill to a heap word array.
-/// The cap exists only to catch wild processor ids early; 1024 leaves
-/// room for the scaling sweeps far beyond the paper's evaluation.
-pub const MAX_PROCS: usize = 1024;
+/// [`crate::ReaderSet`] packs one bit per processor into a `u64`, which
+/// covers the paper's 16-node machine and every workload this
+/// reproduction runs (the widest has 64 nodes). A wider machine fails
+/// [`crate::MachineConfig::validate`] with
+/// [`crate::ConfigError::TooManyNodes`].
+pub const MAX_PROCS: usize = 64;
 
 /// Identifier of a processor in the simulated machine.
 ///

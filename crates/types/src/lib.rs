@@ -41,7 +41,6 @@ mod error;
 mod fault;
 mod geometry;
 mod ids;
-mod intern;
 mod msg;
 mod ops;
 mod readers;
@@ -52,7 +51,6 @@ pub use error::ConfigError;
 pub use fault::{FaultDecision, FaultPlan};
 pub use geometry::HomeGeometry;
 pub use ids::{NodeId, ProcId, MAX_PROCS};
-pub use intern::{ReaderSetInterner, SetId};
 pub use msg::{AckKind, DirMsg, ReqKind};
 pub use ops::{LockId, Op, OpStream, Workload};
 pub use readers::ReaderSet;

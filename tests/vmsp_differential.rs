@@ -13,9 +13,8 @@
 //!
 //! Besides the application suite, the comparison covers finite caches,
 //! the adversarial conflict storms (hotspot home, migratory
-//! ping-pong, false sharing), and the whole suite on a 256-node
-//! machine, where every shared read vector spills into the hash-cons
-//! arenas.
+//! ping-pong, false sharing), and the whole suite on a 64-node
+//! machine, where read vectors fill the whole reader-set word.
 //!
 //! Scale: `Quick` by default so `cargo test` stays fast; CI re-runs
 //! this file in **release** mode (covering the LTO build) with
@@ -147,28 +146,25 @@ fn arena_vmsp_matches_map_reference_on_adversarial_storms() {
     }
 }
 
-/// The interned-wide-set regime: at 256 nodes every shared read vector
-/// spills past the 64-bit inline word, so directory `Shared` states,
-/// VMSP read vectors, and pattern-table symbols all live in the
-/// hash-cons arenas. The two backends own separate interners and
-/// allocate `SetId`s in their own order, so agreement here shows the
-/// simulation does not depend on arena id assignment. Inputs are
-/// pinned to `Quick` (7 apps x 2 policies x 2 backends at 256 nodes),
-/// so the scale variable does not apply.
+/// The widest machine: at 64 nodes directory `Shared` states, VMSP
+/// read vectors and pattern-table symbols use the whole reader-set
+/// word, P63 included. Inputs are pinned to `Quick` (7 apps x 2
+/// policies x 2 backends at 64 nodes), so the scale variable does not
+/// apply.
 #[test]
-fn arena_vmsp_matches_map_reference_with_wide_sets_at_256_nodes() {
-    let machine = MachineConfig::with_nodes(256);
+fn arena_vmsp_matches_map_reference_with_wide_sets_at_64_nodes() {
+    let machine = MachineConfig::with_nodes(64);
     let mut spec_sent = 0u64;
     for app in AppId::ALL {
         let w = app.build(&machine, Scale::Quick);
         for policy in [SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
             let arena = run_with::<specdsm::core::Vmsp>(&machine, policy, w.as_ref());
             let map = run_with::<MapSpecStore>(&machine, policy, w.as_ref());
-            assert_bit_identical(&arena, &map, &format!("{app}@256/{policy}"));
+            assert_bit_identical(&arena, &map, &format!("{app}@64/{policy}"));
             spec_sent += arena.spec.fr_sent + arena.spec.swi_sent;
         }
     }
-    // The suite must actually drive speculative wide read vectors
-    // through the arenas, or this only covered the inline fast path.
-    assert!(spec_sent > 0, "256-node suite sent speculative copies");
+    // The suite must actually drive speculative read vectors through
+    // the arenas.
+    assert!(spec_sent > 0, "64-node suite sent speculative copies");
 }
